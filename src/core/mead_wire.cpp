@@ -12,12 +12,21 @@ namespace {
 // MEAD message kinds (only fail-over exists on the piggyback path).
 constexpr giop::MsgType kFailoverType = giop::MsgType::kRequest;
 
-Bytes ctrl_frame(CtrlKind kind, const Bytes& body) {
-  Bytes out;
-  out.reserve(1 + body.size());
-  out.push_back(static_cast<std::uint8_t>(kind));
-  append_bytes(out, body);
-  return out;
+// Smallest encodings of repeated entries, bounding how many a count read
+// off the wire can claim: an announce is member, host, port and an IOR
+// (whose type id, host, port and key are two strings, a u16 and a u32
+// length).
+constexpr std::size_t kMinString = giop::kMinCdrString;
+constexpr std::size_t kMinAnnounce = 2 * kMinString + 2 + 2 * kMinString + 2 + 4;
+
+/// A writer holding the kind byte, with the CDR body's stream starting
+/// right behind it. `body_hint` sizes the buffer up front.
+CdrWriter ctrl_writer(CtrlKind kind, std::size_t body_hint = 64) {
+  CdrWriter w;
+  w.reserve(1 + body_hint);
+  w.write_u8(static_cast<std::uint8_t>(kind));
+  w.begin_stream();
+  return w;
 }
 
 void write_announce(CdrWriter& w, const Announce& m) {
@@ -71,52 +80,52 @@ std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame) {
 }
 
 Bytes encode_announce(const Announce& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kAnnounce);
   write_announce(w, m);
-  return ctrl_frame(CtrlKind::kAnnounce, w.buffer());
+  return w.take();
 }
 
 Bytes encode_listing(const Listing& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kListing);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) write_announce(w, e);
-  return ctrl_frame(CtrlKind::kListing, w.buffer());
+  return w.take();
 }
 
 Bytes encode_launch_request(const LaunchRequest& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kLaunchRequest);
   w.write_string(m.member);
   w.write_double(m.usage);
-  return ctrl_frame(CtrlKind::kLaunchRequest, w.buffer());
+  return w.take();
 }
 
 Bytes encode_primary_query(const PrimaryQuery& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kPrimaryQuery);
   w.write_string(m.reply_group);
   w.write_u64(m.nonce);
-  return ctrl_frame(CtrlKind::kPrimaryQuery, w.buffer());
+  return w.take();
 }
 
 Bytes encode_primary_answer(const PrimaryAnswer& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kPrimaryAnswer);
   w.write_string(m.member);
   w.write_string(m.endpoint.host);
   w.write_u16(m.endpoint.port);
   w.write_u64(m.nonce);
-  return ctrl_frame(CtrlKind::kPrimaryAnswer, w.buffer());
+  return w.take();
 }
 
 Bytes encode_read_set(const ReadSet& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kReadSet);
   w.write_u64(m.version);
   w.write_string(m.primary);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) write_announce(w, e);
-  return ctrl_frame(CtrlKind::kReadSet, w.buffer());
+  return w.take();
 }
 
 Bytes encode_read_set_delta(const ReadSetDelta& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kReadSetDelta);
   w.write_u64(m.base_version);
   w.write_u64(m.version);
   w.write_string(m.primary);
@@ -124,32 +133,37 @@ Bytes encode_read_set_delta(const ReadSetDelta& m) {
   for (const auto& name : m.removed) w.write_string(name);
   w.write_u32(static_cast<std::uint32_t>(m.added.size()));
   for (const auto& e : m.added) write_announce(w, e);
-  return ctrl_frame(CtrlKind::kReadSetDelta, w.buffer());
+  return w.take();
 }
 
 Bytes encode_node_crash(const NodeCrash& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kNodeCrash);
   w.write_string(m.host);
-  return ctrl_frame(CtrlKind::kNodeCrash, w.buffer());
+  return w.take();
 }
 
 Bytes encode_launch_failed(const LaunchFailed& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kLaunchFailed);
   w.write_string(m.service);
   w.write_u32(static_cast<std::uint32_t>(m.incarnation));
-  return ctrl_frame(CtrlKind::kLaunchFailed, w.buffer());
+  return w.take();
 }
 
 Bytes encode_state(const StateTransfer& m) {
-  CdrWriter w;
+  CdrWriter w =
+      ctrl_writer(CtrlKind::kState, 32 + m.member.size() + m.state.size());
   w.write_string(m.member);
   w.write_u64(m.version);
   w.write_octet_seq(m.state);
-  return ctrl_frame(CtrlKind::kState, w.buffer());
+  return w.take();
 }
 
 Bytes encode_ckpt_delta(const CkptDelta& m) {
-  CdrWriter w;
+  // Each entry takes at most 19 bytes (u32 + u64 with worst-case
+  // alignment) plus its pad.
+  CdrWriter w = ctrl_writer(
+      CtrlKind::kCkptDelta,
+      96 + m.member.size() + m.entries.size() * (19 + m.value_pad));
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u64(m.epoch);
@@ -160,98 +174,99 @@ Bytes encode_ckpt_delta(const CkptDelta& m) {
   w.write_u64(m.digest);
   w.write_u32(m.value_pad);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
-  const Bytes pad(m.value_pad, 0);
   for (const auto& [key, value] : m.entries) {
     w.write_u32(key);
     w.write_u64(value);
-    if (m.value_pad > 0) w.write_raw(pad);
+    w.write_zeros(m.value_pad);
   }
-  return ctrl_frame(CtrlKind::kCkptDelta, w.buffer());
+  return w.take();
 }
 
 Bytes encode_ckpt_request(const CkptRequest& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kCkptRequest);
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u64(m.have_epoch);
-  return ctrl_frame(CtrlKind::kCkptRequest, w.buffer());
+  return w.take();
 }
 
 Bytes encode_log_replay(const LogReplay& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kLogReplay,
+                            48 + m.member.size() + 8 * m.entries.size());
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u64(m.applied);
   w.write_u64(m.digest);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (std::uint64_t seq : m.entries) w.write_u64(seq);
-  return ctrl_frame(CtrlKind::kLogReplay, w.buffer());
+  return w.take();
 }
 
 Bytes encode_read_set_nack(const ReadSetNack& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kReadSetNack);
   w.write_string(m.service);
   w.write_u64(m.have_version);
-  return ctrl_frame(CtrlKind::kReadSetNack, w.buffer());
+  return w.take();
 }
 
 Bytes encode_alive_epoch(const AliveEpoch& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kAliveEpoch);
   w.write_u64(m.epoch);
   w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
   for (const auto& host : m.alive) w.write_string(host);
-  return ctrl_frame(CtrlKind::kAliveEpoch, w.buffer());
+  return w.take();
 }
 
 Bytes encode_node_join(const NodeJoin& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kNodeJoin);
   w.write_string(m.host);
-  return ctrl_frame(CtrlKind::kNodeJoin, w.buffer());
+  return w.take();
 }
 
 Bytes encode_retire(const Retire& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kRetire);
   w.write_string(m.service);
   w.write_string(m.member);
-  return ctrl_frame(CtrlKind::kRetire, w.buffer());
+  return w.take();
 }
 
 Bytes encode_usage_report(const UsageReport& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kUsageReport);
   w.write_string(m.member);
   w.write_double(m.usage);
   w.write_u64(m.at_ms);
-  return ctrl_frame(CtrlKind::kUsageReport, w.buffer());
+  return w.take();
 }
 
 Bytes encode_handoff(const Handoff& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kHandoff);
   w.write_string(m.service);
   w.write_string(m.victim);
   w.write_string(m.successor);
-  return ctrl_frame(CtrlKind::kHandoff, w.buffer());
+  return w.take();
 }
 
 Bytes encode_quorum_set(const ReadSet& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kQuorumSet);
   w.write_u64(m.version);
   w.write_string(m.primary);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) write_announce(w, e);
   w.write_u32(static_cast<std::uint32_t>(m.catching_up.size()));
   for (const auto& name : m.catching_up) w.write_string(name);
-  return ctrl_frame(CtrlKind::kQuorumSet, w.buffer());
+  return w.take();
 }
 
 Bytes encode_catchup_done(const CatchupDone& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kCatchupDone);
   w.write_string(m.service);
   w.write_string(m.member);
-  return ctrl_frame(CtrlKind::kCatchupDone, w.buffer());
+  return w.take();
 }
 
 Bytes encode_reply_cache(const ReplyCache& m) {
-  CdrWriter w;
+  CdrWriter w = ctrl_writer(CtrlKind::kReplyCache,
+                            32 + m.member.size() + 16 * m.entries.size());
   w.write_string(m.member);
   w.write_u64(m.nonce);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
@@ -259,15 +274,15 @@ Bytes encode_reply_cache(const ReplyCache& m) {
     w.write_u64(client_id);
     w.write_u64(seq);
   }
-  return ctrl_frame(CtrlKind::kReplyCache, w.buffer());
+  return w.take();
 }
 
 std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
   if (payload.empty()) return std::nullopt;
   CtrlMsg msg;
   const auto kind = payload[0];
-  const Bytes body(payload.begin() + 1, payload.end());
-  CdrReader r(body, ByteOrder::kLittleEndian);
+  // The body is read in place; its CDR stream starts behind the kind byte.
+  CdrReader r(payload, ByteOrder::kLittleEndian, 1);
   switch (static_cast<CtrlKind>(kind)) {
     case CtrlKind::kAnnounce: {
       msg.kind = CtrlKind::kAnnounce;
@@ -281,7 +296,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       auto n = r.read_u32();
       if (!n) return std::nullopt;
       Listing listing;
-      listing.entries.reserve(n.value());
+      listing.entries.reserve(r.bounded_count(n.value(), kMinAnnounce));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto a = read_announce(r);
         if (!a) return std::nullopt;
@@ -334,7 +349,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       ReadSet rs;
       rs.version = version.value();
       rs.primary = std::move(primary.value());
-      rs.entries.reserve(n.value());
+      rs.entries.reserve(r.bounded_count(n.value(), kMinAnnounce));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto a = read_announce(r);
         if (!a) return std::nullopt;
@@ -357,7 +372,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       d.base_version = base.value();
       d.version = version.value();
       d.primary = std::move(primary.value());
-      d.removed.reserve(nr.value());
+      d.removed.reserve(r.bounded_count(nr.value(), kMinString));
       for (std::uint32_t i = 0; i < nr.value(); ++i) {
         auto name = r.read_string();
         if (!name) return std::nullopt;
@@ -365,7 +380,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       }
       auto na = r.read_u32();
       if (!na) return std::nullopt;
-      d.added.reserve(na.value());
+      d.added.reserve(r.bounded_count(na.value(), kMinAnnounce));
       for (std::uint32_t i = 0; i < na.value(); ++i) {
         auto a = read_announce(r);
         if (!a) return std::nullopt;
@@ -435,13 +450,13 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       d.value_pad = pad.value();
       auto n = r.read_u32();
       if (!n) return std::nullopt;
-      d.entries.reserve(n.value());
+      d.entries.reserve(r.bounded_count(n.value(), 12 + std::size_t{d.value_pad}));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto key = r.read_u32();
         if (!key) return std::nullopt;
         auto value = r.read_u64();
         if (!value) return std::nullopt;
-        if (d.value_pad > 0 && !r.read_raw(d.value_pad)) return std::nullopt;
+        if (d.value_pad > 0 && !r.skip(d.value_pad)) return std::nullopt;
         d.entries.emplace_back(key.value(), value.value());
       }
       msg.ckpt_delta = std::move(d);
@@ -476,7 +491,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       lr.digest = digest.value();
       auto n = r.read_u32();
       if (!n) return std::nullopt;
-      lr.entries.reserve(n.value());
+      lr.entries.reserve(r.bounded_count(n.value(), 8));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto seq = r.read_u64();
         if (!seq) return std::nullopt;
@@ -503,7 +518,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       ae.epoch = epoch.value();
       auto n = r.read_u32();
       if (!n) return std::nullopt;
-      ae.alive.reserve(n.value());
+      ae.alive.reserve(r.bounded_count(n.value(), kMinString));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto host = r.read_string();
         if (!host) return std::nullopt;
@@ -565,7 +580,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       ReadSet rs;
       rs.version = version.value();
       rs.primary = std::move(primary.value());
-      rs.entries.reserve(n.value());
+      rs.entries.reserve(r.bounded_count(n.value(), kMinAnnounce));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto a = read_announce(r);
         if (!a) return std::nullopt;
@@ -573,7 +588,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       }
       auto nc = r.read_u32();
       if (!nc) return std::nullopt;
-      rs.catching_up.reserve(nc.value());
+      rs.catching_up.reserve(r.bounded_count(nc.value(), kMinString));
       for (std::uint32_t i = 0; i < nc.value(); ++i) {
         auto name = r.read_string();
         if (!name) return std::nullopt;
@@ -603,7 +618,7 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       rc.nonce = nonce.value();
       auto n = r.read_u32();
       if (!n) return std::nullopt;
-      rc.entries.reserve(n.value());
+      rc.entries.reserve(r.bounded_count(n.value(), 16));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto client_id = r.read_u64();
         if (!client_id) return std::nullopt;

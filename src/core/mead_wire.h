@@ -378,4 +378,13 @@ struct CtrlMsg {
 
 std::optional<CtrlMsg> decode_ctrl(const Bytes& payload);
 
+/// The kind byte of a control payload, read without decoding the body, so
+/// a consumer drops the kinds it never acts on before paying for them.
+/// Unknown kinds pass through (decode_ctrl rejects them); nullopt only for
+/// an empty payload.
+inline std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload) {
+  if (payload.empty()) return std::nullopt;
+  return static_cast<CtrlKind>(payload[0]);
+}
+
 }  // namespace mead::core

@@ -103,9 +103,10 @@ sim::Task<void> RecoveryManager::pump() {
     gc::Event& event = *ev.value();
     const bool was_acting = core_.acting();
     if (was_acting && event.kind == gc::Event::Kind::kMessage &&
-        core_.is_control_group(event.group)) {
+        core_.is_control_group(event.group) &&
+        peek_ctrl_kind(event.payload) == CtrlKind::kLaunchRequest) {
       auto ctrl = decode_ctrl(event.payload);
-      if (ctrl && ctrl->kind == CtrlKind::kLaunchRequest && ctrl->launch) {
+      if (ctrl && ctrl->launch) {
         LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
             << "launch request from " << ctrl->launch->member << " at usage "
             << ctrl->launch->usage;

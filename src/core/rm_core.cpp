@@ -182,6 +182,15 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
     return;
   }
   if (event.kind != gc::Event::Kind::kMessage) return;
+  // The ckpt channel mostly carries checkpoint traffic the RM never acts
+  // on; drop it before decoding (kState matters only to on_event's
+  // readmission branch, which decodes it there).
+  const auto kind = peek_ctrl_kind(event.payload);
+  if (!kind || *kind == CtrlKind::kCkptDelta ||
+      *kind == CtrlKind::kLogReplay || *kind == CtrlKind::kReplyCache ||
+      *kind == CtrlKind::kState) {
+    return;
+  }
   auto ctrl = decode_ctrl(event.payload);
   if (!ctrl) return;
   if (replicated_ && event.group == rm_group()) {

@@ -122,6 +122,13 @@ sim::Task<void> ServerMead::gc_pump() {
 }
 
 void ServerMead::handle_ctrl(const gc::Event& ev) {
+  // A primary never folds checkpoints in (it is their source), and a
+  // stateless replica has nothing to fold them into: skip the decode.
+  if (peek_ctrl_kind(ev.payload) == CtrlKind::kCkptDelta &&
+      (app_state_ == nullptr ||
+       (!restoring_ && registry_.is_first(cfg_.member)))) {
+    return;
+  }
   auto ctrl = decode_ctrl(ev.payload);
   if (!ctrl) return;
   switch (ctrl->kind) {
@@ -214,7 +221,7 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
     }
     case CtrlKind::kCkptDelta:
       if (app_state_ && ctrl->ckpt_delta->member != cfg_.member) {
-        handle_ckpt_delta(*ctrl->ckpt_delta);
+        handle_ckpt_delta(std::move(*ctrl->ckpt_delta));
       }
       break;
     case CtrlKind::kLogReplay:
@@ -476,10 +483,11 @@ void ServerMead::drain_pull_pending() {
   // unblock the next.
   while (!pull_pending_.empty()) {
     auto it = pull_pending_.begin();
-    switch (ckpt_store_->apply(it->second, *app_state_)) {
+    const bool is_base = it->second.is_base;
+    switch (ckpt_store_->apply(std::move(it->second), *app_state_)) {
       case state::CheckpointStore::Apply::kApplied:
         ++stats_.ckpt_applied;
-        if (it->second.is_base) restore_base_seen_ = true;
+        if (is_base) restore_base_seen_ = true;
         pull_pending_.erase(it);
         continue;
       case state::CheckpointStore::Apply::kStale:
@@ -598,7 +606,7 @@ sim::Task<void> ServerMead::request_resync() {
                                       ckpt_store_->last_epoch()}));
 }
 
-void ServerMead::handle_ckpt_delta(const CkptDelta& d) {
+void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
   state::Checkpoint c;
   c.epoch = d.epoch;
   c.base_epoch = d.base_epoch;
@@ -606,15 +614,17 @@ void ServerMead::handle_ckpt_delta(const CkptDelta& d) {
   c.applied = d.applied;
   c.prev_digest = d.prev_digest;
   c.digest = d.digest;
-  c.entries = d.entries;
+  c.entries = std::move(d.entries);
+  // apply() consumes `c` only when it returns kApplied; every other
+  // outcome leaves it intact (kGap buffers it below).
   if (restoring_) {
     // Only the directed stream we asked for; periodic pushes would
     // interleave mid-chain and always gap.
     if (d.nonce == 0 || d.nonce != await_nonce_) return;
-    switch (ckpt_store_->apply(c, *app_state_)) {
+    switch (ckpt_store_->apply(std::move(c), *app_state_)) {
       case state::CheckpointStore::Apply::kApplied:
         ++stats_.ckpt_applied;
-        if (c.is_base) restore_base_seen_ = true;
+        if (d.is_base) restore_base_seen_ = true;
         if (cfg_.state.pull_restore) {
           drain_pull_pending();
           try_pull_replay();
@@ -636,7 +646,7 @@ void ServerMead::handle_ckpt_delta(const CkptDelta& d) {
   }
   if (d.nonce != 0 && d.nonce != await_nonce_) return;
   if (registry_.is_first(cfg_.member)) return;  // the primary is the source
-  switch (ckpt_store_->apply(c, *app_state_)) {
+  switch (ckpt_store_->apply(std::move(c), *app_state_)) {
     case state::CheckpointStore::Apply::kApplied:
       ++stats_.ckpt_applied;
       break;

@@ -175,7 +175,7 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> request_resync();
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
-  void handle_ckpt_delta(const CkptDelta& d);
+  void handle_ckpt_delta(CkptDelta&& d);
   [[nodiscard]] Bytes ckpt_wire(const state::Checkpoint& c,
                                 std::uint64_t nonce) const;
   [[nodiscard]] std::uint64_t make_nonce();

@@ -613,8 +613,7 @@ void GcDaemon::handle_ordered(const OrderedMsg& m) {
       for (const auto& member : group.members) {
         auto fd = client_fds_.find(member);
         if (fd == client_fds_.end()) continue;  // member is remote
-        spawn_write(fd->second,
-                    encode_deliver(DeliverMsg{m.group, m.member, m.seq, m.payload}));
+        spawn_write(fd->second, encode_deliver(m));
       }
       break;
     }

@@ -10,16 +10,26 @@ using giop::ByteOrder;
 using giop::CdrReader;
 using giop::CdrWriter;
 
-Bytes frame(Op op, const Bytes& body) {
-  Bytes out;
-  const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 1;
-  out.reserve(4 + len);
-  out.push_back(static_cast<std::uint8_t>(len & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(op));
-  append_bytes(out, body);
+/// A writer holding the 5-byte frame header (length placeholder, opcode),
+/// with the CDR body's stream starting right behind it. `body_hint` sizes
+/// the buffer up front.
+CdrWriter frame_writer(Op op, std::size_t body_hint = 32) {
+  CdrWriter w;
+  w.reserve(5 + body_hint);
+  w.write_u32(0);  // patched by finish_frame
+  w.write_u8(static_cast<std::uint8_t>(op));
+  w.begin_stream();
+  return w;
+}
+
+/// Takes the frame out of `w` and fills in its little-endian length.
+Bytes finish_frame(CdrWriter& w) {
+  Bytes out = w.take();
+  const auto len = static_cast<std::uint32_t>(out.size() - 4);
+  out[0] = static_cast<std::uint8_t>(len & 0xFF);
+  out[1] = static_cast<std::uint8_t>((len >> 8) & 0xFF);
+  out[2] = static_cast<std::uint8_t>((len >> 16) & 0xFF);
+  out[3] = static_cast<std::uint8_t>((len >> 24) & 0xFF);
   return out;
 }
 
@@ -49,58 +59,74 @@ bool valid_op(std::uint8_t v) {
 }  // namespace
 
 Bytes encode_hello(const HelloMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kHello);
   w.write_string(m.name);
-  return frame(Op::kHello, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_join(const GroupMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kJoin);
   w.write_string(m.group);
-  return frame(Op::kJoin, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_leave(const GroupMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kLeave);
   w.write_string(m.group);
-  return frame(Op::kLeave, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_mcast(const McastMsg& m) {
-  CdrWriter w;
+  CdrWriter w =
+      frame_writer(Op::kMcast, 16 + m.group.size() + m.payload.size());
   w.write_string(m.group);
   w.write_octet_seq(m.payload);
-  return frame(Op::kMcast, w.buffer());
-}
-
-Bytes encode_deliver(const DeliverMsg& m) {
-  CdrWriter w;
-  w.write_string(m.group);
-  w.write_string(m.sender);
-  w.write_u64(m.seq);
-  w.write_octet_seq(m.payload);
-  return frame(Op::kDeliver, w.buffer());
-}
-
-Bytes encode_view(const ViewMsg& m) {
-  CdrWriter w;
-  w.write_string(m.group);
-  w.write_u64(m.view_id);
-  w.write_u32(static_cast<std::uint32_t>(m.members.size()));
-  for (const auto& member : m.members) w.write_string(member);
-  return frame(Op::kView, w.buffer());
-}
-
-Bytes encode_peer_hello(const PeerHelloMsg& m) {
-  CdrWriter w;
-  w.write_u64(m.daemon_id);
-  return frame(Op::kPeerHello, w.buffer());
+  return finish_frame(w);
 }
 
 namespace {
 
-Bytes encode_ordered_body(const OrderedMsg& m) {
-  CdrWriter w;
+Bytes deliver_frame(const std::string& group, const std::string& sender,
+                    std::uint64_t seq, const Bytes& payload) {
+  CdrWriter w = frame_writer(
+      Op::kDeliver, 32 + group.size() + sender.size() + payload.size());
+  w.write_string(group);
+  w.write_string(sender);
+  w.write_u64(seq);
+  w.write_octet_seq(payload);
+  return finish_frame(w);
+}
+
+}  // namespace
+
+Bytes encode_deliver(const DeliverMsg& m) {
+  return deliver_frame(m.group, m.sender, m.seq, m.payload);
+}
+
+Bytes encode_deliver(const OrderedMsg& m) {
+  return deliver_frame(m.group, m.member, m.seq, m.payload);
+}
+
+Bytes encode_view(const ViewMsg& m) {
+  CdrWriter w = frame_writer(Op::kView);
+  w.write_string(m.group);
+  w.write_u64(m.view_id);
+  w.write_u32(static_cast<std::uint32_t>(m.members.size()));
+  for (const auto& member : m.members) w.write_string(member);
+  return finish_frame(w);
+}
+
+Bytes encode_peer_hello(const PeerHelloMsg& m) {
+  CdrWriter w = frame_writer(Op::kPeerHello);
+  w.write_u64(m.daemon_id);
+  return finish_frame(w);
+}
+
+namespace {
+
+Bytes ordered_frame(Op op, const OrderedMsg& m) {
+  CdrWriter w = frame_writer(
+      op, 48 + m.group.size() + m.member.size() + m.payload.size());
   w.write_u64(m.seq);
   w.write_u64(m.origin);
   w.write_u64(m.msg_id);
@@ -108,31 +134,31 @@ Bytes encode_ordered_body(const OrderedMsg& m) {
   w.write_string(m.group);
   w.write_string(m.member);
   w.write_octet_seq(m.payload);
-  return w.take();
+  return finish_frame(w);
 }
 
 }  // namespace
 
-Bytes encode_submit(const OrderedMsg& m) { return frame(Op::kSubmit, encode_ordered_body(m)); }
-Bytes encode_ordered(const OrderedMsg& m) { return frame(Op::kOrdered, encode_ordered_body(m)); }
+Bytes encode_submit(const OrderedMsg& m) { return ordered_frame(Op::kSubmit, m); }
+Bytes encode_ordered(const OrderedMsg& m) { return ordered_frame(Op::kOrdered, m); }
 
 Bytes encode_heartbeat(const HeartbeatMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kHeartbeat);
   w.write_u64(m.daemon_id);
-  return frame(Op::kHeartbeat, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_rejoin(const RejoinMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kRejoin);
   w.write_u64(m.daemon_id);
   w.write_u64(m.next_seq);
   w.write_u64(m.alive_count);
   w.write_u64(m.sequencer_id);
-  return frame(Op::kRejoin, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_state_sync(const StateSyncMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kStateSync);
   w.write_u64(m.next_seq);
   w.write_u32(static_cast<std::uint32_t>(m.groups.size()));
   for (const auto& g : m.groups) {
@@ -145,32 +171,34 @@ Bytes encode_state_sync(const StateSyncMsg& m) {
   }
   w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
   for (std::uint64_t d : m.alive) w.write_u64(d);
-  return frame(Op::kStateSync, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_bridge(const BridgeMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kBridge);
   w.write_u64(m.daemon_id);
   w.write_u8(m.on ? 1 : 0);
-  return frame(Op::kBridge, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_alive_set(const AliveSetMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kAliveSet);
   w.write_u32(static_cast<std::uint32_t>(m.alive.size()));
   for (std::uint64_t d : m.alive) w.write_u64(d);
-  return frame(Op::kAliveSet, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes encode_seq_watermark(const SeqWatermarkMsg& m) {
-  CdrWriter w;
+  CdrWriter w = frame_writer(Op::kSeqWatermark);
   w.write_u64(m.daemon_id);
   w.write_u64(m.next_seq);
-  return frame(Op::kSeqWatermark, w.buffer());
+  return finish_frame(w);
 }
 
 Bytes wrap_frame_batch(const Bytes& payload) {
-  return frame(Op::kFrameBatch, payload);
+  CdrWriter w = frame_writer(Op::kFrameBatch, payload.size());
+  w.write_raw(payload);
+  return finish_frame(w);
 }
 
 Bytes encode_frame_batch(const std::vector<Bytes>& frames) {
@@ -182,6 +210,12 @@ Bytes encode_frame_batch(const std::vector<Bytes>& frames) {
 // ---- decoding ----
 
 namespace {
+
+// Smallest encodings of repeated entries, bounding how many a count read
+// off the wire can claim: a group snapshot is a string, a u64 view id and
+// two u32 counts.
+constexpr std::size_t kMinString = giop::kMinCdrString;
+constexpr std::size_t kMinSnapshot = kMinString + 8 + 4 + 4;
 
 template <typename F>
 auto decode_with(const Bytes& payload, F&& fn)
@@ -244,7 +278,7 @@ WireResult<ViewMsg> decode_view(const Bytes& payload) {
     auto n = r.read_u32();
     if (!n) return std::nullopt;
     std::vector<std::string> members;
-    members.reserve(n.value());
+    members.reserve(r.bounded_count(n.value(), kMinString));
     for (std::uint32_t i = 0; i < n.value(); ++i) {
       auto m = r.read_string();
       if (!m) return std::nullopt;
@@ -320,7 +354,7 @@ WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
     m.next_seq = next.value();
     auto count = r.read_u32();
     if (!count) return std::nullopt;
-    m.groups.reserve(count.value());
+    m.groups.reserve(r.bounded_count(count.value(), kMinSnapshot));
     for (std::uint32_t i = 0; i < count.value(); ++i) {
       GroupSnapshot snap;
       auto g = r.read_string();
@@ -331,7 +365,7 @@ WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
       snap.view_id = id.value();
       auto members = r.read_u32();
       if (!members) return std::nullopt;
-      snap.members.reserve(members.value());
+      snap.members.reserve(r.bounded_count(members.value(), kMinString));
       for (std::uint32_t j = 0; j < members.value(); ++j) {
         auto member = r.read_string();
         if (!member) return std::nullopt;
@@ -339,7 +373,7 @@ WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
       }
       auto homes = r.read_u32();
       if (!homes) return std::nullopt;
-      snap.homes.reserve(homes.value());
+      snap.homes.reserve(r.bounded_count(homes.value(), 8));
       for (std::uint32_t j = 0; j < homes.value(); ++j) {
         auto home = r.read_u64();
         if (!home) return std::nullopt;
@@ -349,7 +383,7 @@ WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
     }
     auto alive = r.read_u32();
     if (!alive) return std::nullopt;
-    m.alive.reserve(alive.value());
+    m.alive.reserve(r.bounded_count(alive.value(), 8));
     for (std::uint32_t i = 0; i < alive.value(); ++i) {
       auto d = r.read_u64();
       if (!d) return std::nullopt;
@@ -374,7 +408,7 @@ WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload) {
     auto n = r.read_u32();
     if (!n) return std::nullopt;
     AliveSetMsg m;
-    m.alive.reserve(n.value());
+    m.alive.reserve(r.bounded_count(n.value(), 8));
     for (std::uint32_t i = 0; i < n.value(); ++i) {
       auto d = r.read_u64();
       if (!d) return std::nullopt;
@@ -425,28 +459,35 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
 
 // ---- framing ----
 
-void LenFramer::feed(const Bytes& chunk) { append_bytes(buf_, chunk); }
+void LenFramer::feed(const Bytes& chunk) {
+  // Consumed frames are dropped here, once per chunk, rather than by an
+  // erase per frame (quadratic when one chunk carries many frames).
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  append_bytes(buf_, chunk);
+}
 
 std::optional<Frame> LenFramer::next() {
   if (corrupt_) return std::nullopt;
-  if (buf_.size() < 4) return std::nullopt;
-  std::uint32_t len = static_cast<std::uint32_t>(buf_[0]) |
-                      (static_cast<std::uint32_t>(buf_[1]) << 8) |
-                      (static_cast<std::uint32_t>(buf_[2]) << 16) |
-                      (static_cast<std::uint32_t>(buf_[3]) << 24);
+  if (buffered() < 4) return std::nullopt;
+  const std::uint8_t* p = buf_.data() + head_;
+  std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
+                      (static_cast<std::uint32_t>(p[1]) << 8) |
+                      (static_cast<std::uint32_t>(p[2]) << 16) |
+                      (static_cast<std::uint32_t>(p[3]) << 24);
   if (len == 0 || len > 16 * 1024 * 1024) {  // sanity cap
     corrupt_ = true;
     return std::nullopt;
   }
-  if (buf_.size() < 4 + len) return std::nullopt;
-  if (!valid_op(buf_[4])) {
+  if (buffered() < 4 + static_cast<std::size_t>(len)) return std::nullopt;
+  if (!valid_op(p[4])) {
     corrupt_ = true;
     return std::nullopt;
   }
   Frame f;
-  f.op = static_cast<Op>(buf_[4]);
-  f.payload.assign(buf_.begin() + 5, buf_.begin() + 4 + len);
-  buf_.erase(buf_.begin(), buf_.begin() + 4 + len);
+  f.op = static_cast<Op>(p[4]);
+  f.payload.assign(p + 5, p + 4 + len);
+  head_ += 4 + static_cast<std::size_t>(len);
   return f;
 }
 

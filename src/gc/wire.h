@@ -197,6 +197,9 @@ Bytes encode_join(const GroupMsg& m);
 Bytes encode_leave(const GroupMsg& m);
 Bytes encode_mcast(const McastMsg& m);
 Bytes encode_deliver(const DeliverMsg& m);
+/// The kDeliver frame of a stamped message, encoded straight from it:
+/// the same bytes as encode_deliver(DeliverMsg{group, member, seq, payload}).
+Bytes encode_deliver(const OrderedMsg& m);
 Bytes encode_view(const ViewMsg& m);
 Bytes encode_peer_hello(const PeerHelloMsg& m);
 Bytes encode_submit(const OrderedMsg& m);   // opcode kSubmit
@@ -258,10 +261,11 @@ class LenFramer {
   /// corrupt() permanently.
   std::optional<Frame> next();
   [[nodiscard]] bool corrupt() const { return corrupt_; }
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
   Bytes buf_;
+  std::size_t head_ = 0;  // bytes of buf_ already handed out as frames
   bool corrupt_ = false;
 };
 

@@ -1,34 +1,10 @@
 #include "giop/cdr.h"
 
-#include <bit>
 #include <cstring>
 
 namespace mead::giop {
 
-namespace {
-
-template <typename T>
-T byteswap_int(T v) {
-  T out{};
-  auto* src = reinterpret_cast<const std::uint8_t*>(&v);
-  auto* dst = reinterpret_cast<std::uint8_t*>(&out);
-  for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
-  return out;
-}
-
-}  // namespace
-
-ByteOrder native_byte_order() {
-  return std::endian::native == std::endian::little ? ByteOrder::kLittleEndian
-                                                    : ByteOrder::kBigEndian;
-}
-
 // ------------------------------------------------------------- CdrWriter
-
-void CdrWriter::align(std::size_t n) {
-  const std::size_t misalign = buf_.size() % n;
-  if (misalign != 0) buf_.resize(buf_.size() + (n - misalign), 0);
-}
 
 void CdrWriter::put_bytes(const void* p, std::size_t n) {
   const auto* bytes = static_cast<const std::uint8_t*>(p);
@@ -36,24 +12,6 @@ void CdrWriter::put_bytes(const void* p, std::size_t n) {
 }
 
 void CdrWriter::write_u8(std::uint8_t v) { buf_.push_back(v); }
-
-void CdrWriter::write_u16(std::uint16_t v) {
-  align(2);
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  put_bytes(&v, 2);
-}
-
-void CdrWriter::write_u32(std::uint32_t v) {
-  align(4);
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  put_bytes(&v, 4);
-}
-
-void CdrWriter::write_u64(std::uint64_t v) {
-  align(8);
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  put_bytes(&v, 8);
-}
 
 void CdrWriter::write_double(double v) {
   std::uint64_t bits;
@@ -78,55 +36,15 @@ void CdrWriter::write_raw(const Bytes& bytes) {
 
 // ------------------------------------------------------------- CdrReader
 
-CdrResult<void> CdrReader::align(std::size_t n) {
-  const std::size_t rel = (pos_ - base_) % n;
-  if (rel != 0) {
-    const std::size_t pad = n - rel;
-    if (!has(pad)) return make_unexpected(CdrErr::kOutOfBounds);
-    pos_ += pad;
-  }
-  return {};
-}
-
 CdrResult<std::uint8_t> CdrReader::read_u8() {
   if (!has(1)) return make_unexpected(CdrErr::kOutOfBounds);
-  return (*buf_)[pos_++];
+  return data_[pos_++];
 }
 
 CdrResult<bool> CdrReader::read_bool() {
   auto v = read_u8();
   if (!v) return make_unexpected(v.error());
   return v.value() != 0;
-}
-
-CdrResult<std::uint16_t> CdrReader::read_u16() {
-  if (auto a = align(2); !a) return make_unexpected(a.error());
-  if (!has(2)) return make_unexpected(CdrErr::kOutOfBounds);
-  std::uint16_t v;
-  std::memcpy(&v, buf_->data() + pos_, 2);
-  pos_ += 2;
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  return v;
-}
-
-CdrResult<std::uint32_t> CdrReader::read_u32() {
-  if (auto a = align(4); !a) return make_unexpected(a.error());
-  if (!has(4)) return make_unexpected(CdrErr::kOutOfBounds);
-  std::uint32_t v;
-  std::memcpy(&v, buf_->data() + pos_, 4);
-  pos_ += 4;
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  return v;
-}
-
-CdrResult<std::uint64_t> CdrReader::read_u64() {
-  if (auto a = align(8); !a) return make_unexpected(a.error());
-  if (!has(8)) return make_unexpected(CdrErr::kOutOfBounds);
-  std::uint64_t v;
-  std::memcpy(&v, buf_->data() + pos_, 8);
-  pos_ += 8;
-  if (order_ != native_byte_order()) v = byteswap_int(v);
-  return v;
 }
 
 CdrResult<std::int32_t> CdrReader::read_i32() {
@@ -155,8 +73,8 @@ CdrResult<std::string> CdrReader::read_string() {
   if (len.value() == 0) return make_unexpected(CdrErr::kBadString);
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
   const std::size_t n = len.value() - 1;  // exclude NUL
-  if ((*buf_)[pos_ + n] != 0) return make_unexpected(CdrErr::kBadString);
-  std::string s(reinterpret_cast<const char*>(buf_->data() + pos_), n);
+  if (data_[pos_ + n] != 0) return make_unexpected(CdrErr::kBadString);
+  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += len.value();
   return s;
 }
@@ -165,16 +83,14 @@ CdrResult<Bytes> CdrReader::read_octet_seq() {
   auto len = read_u32();
   if (!len) return make_unexpected(len.error());
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
-  Bytes out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
+  Bytes out(data_ + pos_, data_ + pos_ + len.value());
   pos_ += len.value();
   return out;
 }
 
 CdrResult<Bytes> CdrReader::read_raw(std::size_t n) {
   if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
-  Bytes out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  Bytes out(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return out;
 }

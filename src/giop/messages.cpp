@@ -211,21 +211,26 @@ Bytes encode_close_connection(ByteOrder order) {
 // --------------------------------------------------------- FrameBuffer
 
 void FrameBuffer::feed(const Bytes& chunk) {
+  // Consumed messages are dropped here, once per chunk, rather than by an
+  // erase per message (quadratic when one chunk carries many messages).
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
   append_bytes(buf_, chunk);
 }
 
 std::optional<FrameBuffer::Frame> FrameBuffer::next() {
   if (corrupt_) return std::nullopt;
-  if (buf_.size() < kHeaderSize) return std::nullopt;
-  auto h = decode_header(buf_);
+  if (buffered() < kHeaderSize) return std::nullopt;
+  auto h = decode_header(buf_, head_);
   if (!h) {
     if (h.error() != MsgErr::kTruncated) corrupt_ = true;
     return std::nullopt;
   }
   const std::size_t total = kHeaderSize + h->body_size;
-  if (buf_.size() < total) return std::nullopt;
-  Bytes msg(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(total));
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(total));
+  if (buffered() < total) return std::nullopt;
+  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+  Bytes msg(first, first + static_cast<std::ptrdiff_t>(total));
+  head_ += total;
   return Frame{h.value(), std::move(msg)};
 }
 

@@ -157,10 +157,11 @@ class FrameBuffer {
   std::optional<Frame> next();
 
   [[nodiscard]] bool corrupt() const { return corrupt_; }
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
   Bytes buf_;
+  std::size_t head_ = 0;  // bytes of buf_ already handed out as messages
   bool corrupt_ = false;
 };
 

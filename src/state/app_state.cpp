@@ -12,7 +12,10 @@ std::uint64_t AppState::apply_next() {
   const std::uint32_t key =
       static_cast<std::uint32_t>(seq % values_.size());
   values_[key] += mix64(seq);
-  dirty_[key] = true;
+  if (!dirty_[key]) {
+    dirty_[key] = true;
+    dirty_keys_.push_back(key);
+  }
   digest_ = mix64(digest_ ^ mix64(seq) ^ values_[key]);
   return seq;
 }
@@ -28,13 +31,10 @@ void AppState::set_progress(std::uint64_t applied, std::uint64_t digest) {
 
 std::vector<std::uint32_t> AppState::take_dirty() {
   std::vector<std::uint32_t> keys;
-  for (std::uint32_t k = 0; k < dirty_.size(); ++k) {
-    if (dirty_[k]) {
-      keys.push_back(k);
-      dirty_[k] = false;
-    }
-  }
-  return keys;  // index order == sorted
+  keys.swap(dirty_keys_);
+  for (std::uint32_t k : keys) dirty_[k] = false;
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 std::uint64_t AppState::expected_digest(std::uint64_t ops,

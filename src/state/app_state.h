@@ -48,7 +48,8 @@ class AppState {
   void set_progress(std::uint64_t applied, std::uint64_t digest);
 
   /// Returns the sorted dirty-key set accumulated since the last call
-  /// and clears it (the checkpoint delta source).
+  /// and clears it (the checkpoint delta source). Costs O(dirty keys),
+  /// not O(keys).
   [[nodiscard]] std::vector<std::uint32_t> take_dirty();
 
   [[nodiscard]] std::uint64_t value(std::uint32_t key) const {
@@ -62,7 +63,8 @@ class AppState {
 
  private:
   std::vector<std::uint64_t> values_;
-  std::vector<bool> dirty_;
+  std::vector<bool> dirty_;               // per-key membership bit
+  std::vector<std::uint32_t> dirty_keys_;  // the same set, as a list
   std::uint64_t applied_ = 0;
   std::uint64_t digest_ = 0;
 };

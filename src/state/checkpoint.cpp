@@ -24,7 +24,9 @@ const Checkpoint& CheckpointStore::take(AppState& s) {
     c.is_base = false;
     c.base_epoch = chain_.front().epoch;
     c.prev_digest = chain_.back().digest;
-    for (std::uint32_t k : s.take_dirty()) {
+    const std::vector<std::uint32_t> dirty = s.take_dirty();
+    c.entries.reserve(dirty.size());
+    for (std::uint32_t k : dirty) {
       c.entries.emplace_back(k, s.value(k));
     }
     ++deltas_since_base_;
@@ -33,8 +35,7 @@ const Checkpoint& CheckpointStore::take(AppState& s) {
   return chain_.back();
 }
 
-CheckpointStore::Apply CheckpointStore::apply(const Checkpoint& c,
-                                              AppState& s) {
+CheckpointStore::Apply CheckpointStore::apply(Checkpoint&& c, AppState& s) {
   if (c.epoch <= last_epoch()) return Apply::kStale;
   if (c.is_base) {
     chain_.clear();
@@ -51,9 +52,15 @@ CheckpointStore::Apply CheckpointStore::apply(const Checkpoint& c,
   }
   for (const auto& [key, value] : c.entries) s.install(key, value);
   s.set_progress(c.applied, c.digest);
-  chain_.push_back(c);
   next_epoch_ = c.epoch + 1;
+  chain_.push_back(std::move(c));
   return Apply::kApplied;
+}
+
+CheckpointStore::Apply CheckpointStore::apply(const Checkpoint& c,
+                                              AppState& s) {
+  Checkpoint copy = c;
+  return apply(std::move(copy), s);
 }
 
 }  // namespace mead::state

@@ -48,6 +48,10 @@ class CheckpointStore {
 
   /// Mirror side: fold a received checkpoint into the local chain and,
   /// on success, into `s` (installing entries + progress watermark).
+  /// `c` is moved into the chain only when this returns kApplied; on any
+  /// other outcome it is left untouched.
+  Apply apply(Checkpoint&& c, AppState& s);
+  /// Copying form of apply(Checkpoint&&).
   Apply apply(const Checkpoint& c, AppState& s);
 
   /// The retained chain (base first), for answering kCkptRequest.

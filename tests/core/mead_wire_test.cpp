@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "gc/wire.h"
+
 namespace mead::core {
 namespace {
 
@@ -290,6 +294,208 @@ TEST(CtrlMsgTest, RejectsTruncatedStateFrames) {
       EXPECT_FALSE(decode_ctrl(t).has_value()) << "cut=" << cut;
     }
   }
+}
+
+// ---- wire-identical pins ----
+//
+// The encoders write the kind byte (or gc frame header) first and align
+// the body relative to it; these bytes were captured from the earlier
+// encoders that built the body on its own and copied it behind the
+// header, so any drift in layout or alignment shows up here.
+
+Bytes from_hex(const std::string& hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+CkptDelta golden_ckpt(std::uint32_t value_pad) {
+  CkptDelta c;
+  c.member = "replica/2";  // odd length: the u64s after it need padding
+  c.nonce = 0x1122334455667788ull;
+  c.epoch = 7;
+  c.base_epoch = 5;
+  c.applied = 420;
+  c.prev_digest = 0xDEADBEEFull;
+  c.digest = 0xFEEDFACEull;
+  c.value_pad = value_pad;
+  c.entries = {{3, 111}, {9, 222}, {14, 0x0102030405060708ull}};
+  return c;
+}
+
+LogReplay golden_log_replay() {
+  LogReplay lr;
+  lr.member = "replica/1";
+  lr.nonce = 99;
+  lr.applied = 450;
+  lr.digest = 0xABCDull;
+  lr.entries = {441, 442, 443};
+  return lr;
+}
+
+gc::OrderedMsg golden_ordered() {
+  gc::OrderedMsg o;
+  o.seq = 100;
+  o.origin = 3;
+  o.msg_id = 55;
+  o.kind = gc::PayloadKind::kData;
+  o.group = "servers";
+  o.member = "replica/2";
+  o.payload = Bytes{0xAA, 0xBB, 0xCC};
+  return o;
+}
+
+/// Every proper prefix of `frame` must be rejected, never misread.
+void expect_every_truncation_rejected(const Bytes& frame) {
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    const Bytes t(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(decode_ctrl(t).has_value()) << "len=" << len;
+  }
+}
+
+TEST(WireGoldenTest, CkptDeltaBytesAcrossValuePads) {
+  const std::pair<std::uint32_t, const char*> golden[] = {
+      {0, "0b0a0000007265706c6963612f32000000887766554433221107000000000000"
+           "0005000000000000000000000000000000a401000000000000efbeadde000000"
+           "00cefaedfe00000000000000000300000003000000000000006f000000000000"
+           "000900000000000000de000000000000000e0000000000000008070605040302"
+           "01"},
+      {1, "0b0a0000007265706c6963612f32000000887766554433221107000000000000"
+           "0005000000000000000000000000000000a401000000000000efbeadde000000"
+           "00cefaedfe00000000010000000300000003000000000000006f000000000000"
+           "000000000009000000de00000000000000000000000e00000008070605040302"
+           "0100"},
+      {3, "0b0a0000007265706c6963612f32000000887766554433221107000000000000"
+           "0005000000000000000000000000000000a401000000000000efbeadde000000"
+           "00cefaedfe00000000030000000300000003000000000000006f000000000000"
+           "000000000009000000de00000000000000000000000e00000008070605040302"
+           "01000000"},
+      {7, "0b0a0000007265706c6963612f32000000887766554433221107000000000000"
+           "0005000000000000000000000000000000a401000000000000efbeadde000000"
+           "00cefaedfe00000000070000000300000003000000000000006f000000000000"
+           "0000000000000000000900000000000000de0000000000000000000000000000"
+           "000e00000000000000080706050403020100000000000000"},
+      {32, "0b0a0000007265706c6963612f32000000887766554433221107000000000000"
+            "0005000000000000000000000000000000a401000000000000efbeadde000000"
+            "00cefaedfe00000000200000000300000003000000000000006f000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "000900000000000000de00000000000000000000000000000000000000000000"
+            "00000000000000000000000000000000000e0000000000000008070605040302"
+            "0100000000000000000000000000000000000000000000000000000000000000"
+            "00"},
+  };
+  for (const auto& [pad, hex] : golden) {
+    const CkptDelta c = golden_ckpt(pad);
+    const Bytes frame = encode_ckpt_delta(c);
+    EXPECT_EQ(frame, from_hex(hex)) << "value_pad=" << pad;
+    auto msg = decode_ctrl(frame);
+    ASSERT_TRUE(msg.has_value()) << "value_pad=" << pad;
+    EXPECT_EQ(*msg->ckpt_delta, c);
+    expect_every_truncation_rejected(frame);
+  }
+}
+
+TEST(WireGoldenTest, LogReplayBytes) {
+  const Bytes frame = encode_log_replay(golden_log_replay());
+  EXPECT_EQ(frame, from_hex("0d0a0000007265706c6963612f310000006300000000000000c2010000000000"
+                            "00cdab0000000000000300000000000000b901000000000000ba010000000000"
+                            "00bb01000000000000"));
+  auto msg = decode_ctrl(frame);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(*msg->log_replay, golden_log_replay());
+  expect_every_truncation_rejected(frame);
+}
+
+TEST(WireGoldenTest, GcOrderedSubmitDeliverMcastBytes) {
+  const gc::OrderedMsg o = golden_ordered();
+  EXPECT_EQ(gc::encode_ordered(o),
+            from_hex("4000000016640000000000000003000000000000003700000000000000000000"
+                     "000800000073657276657273000a0000007265706c6963612f32000000030000"
+                     "00aabbcc"));
+  EXPECT_EQ(gc::encode_submit(o),
+            from_hex("4000000015640000000000000003000000000000003700000000000000000000"
+                     "000800000073657276657273000a0000007265706c6963612f32000000030000"
+                     "00aabbcc"));
+  const Bytes deliver =
+      from_hex("280000000a04000000672d31000900000073656e6465722d31000000002a0000"
+               "000000000003000000010203");
+  EXPECT_EQ(gc::encode_deliver(gc::DeliverMsg{"g-1", "sender-1", 42, Bytes{1, 2, 3}}),
+            deliver);
+  gc::OrderedMsg stamped;
+  stamped.group = "g-1";
+  stamped.member = "sender-1";
+  stamped.seq = 42;
+  stamped.payload = Bytes{1, 2, 3};
+  EXPECT_EQ(gc::encode_deliver(stamped), deliver);  // straight from the stamp
+  EXPECT_EQ(gc::encode_mcast(gc::McastMsg{"g-1", Bytes{1, 2, 3}}),
+            from_hex("100000000404000000672d310003000000010203"));
+}
+
+TEST(PeekCtrlKindTest, ReadsKindWithoutDecoding) {
+  EXPECT_EQ(peek_ctrl_kind(encode_ckpt_delta(golden_ckpt(0))),
+            CtrlKind::kCkptDelta);
+  EXPECT_EQ(peek_ctrl_kind(encode_log_replay(golden_log_replay())),
+            CtrlKind::kLogReplay);
+  // A truncated body still peeks (the kind byte is intact); only decode
+  // rejects it.
+  EXPECT_EQ(peek_ctrl_kind(Bytes{static_cast<std::uint8_t>(CtrlKind::kCkptRequest)}),
+            CtrlKind::kCkptRequest);
+  EXPECT_FALSE(peek_ctrl_kind(Bytes{}).has_value());
+}
+
+// ---- inflated counts ----
+//
+// A count read off the wire sizes a reservation; a frame claiming
+// 0xFFFFFFFF entries must fail to decode, not throw out of reserve().
+
+/// `frame` with the u32 ending `from_end` bytes before its end set to
+/// 0xFFFFFFFF.
+Bytes inflate(Bytes frame, std::size_t from_end) {
+  for (std::size_t i = frame.size() - from_end; i < frame.size() - from_end + 4; ++i) {
+    frame[i] = 0xFF;
+  }
+  return frame;
+}
+
+void expect_rejected_without_throw(const Bytes& frame, const char* what) {
+  std::optional<CtrlMsg> msg;
+  EXPECT_NO_THROW(msg = decode_ctrl(frame)) << what;
+  EXPECT_FALSE(msg.has_value()) << what;
+}
+
+TEST(InflatedCountTest, EveryMultiEntryKindRejects) {
+  // Encoded with no entries, each count is a frame's trailing u32 (the
+  // first of two trailing counts sits 8 bytes from the end).
+  expect_rejected_without_throw(
+      Bytes{static_cast<std::uint8_t>(CtrlKind::kListing), 0xFF, 0xFF, 0xFF, 0xFF},
+      "5-byte listing");
+  expect_rejected_without_throw(inflate(encode_listing(Listing{}), 4), "listing");
+  ReadSet rs;
+  rs.primary = "replica/1";
+  expect_rejected_without_throw(inflate(encode_read_set(rs), 4), "read set");
+  expect_rejected_without_throw(inflate(encode_quorum_set(rs), 8),
+                                "quorum set entries");
+  expect_rejected_without_throw(inflate(encode_quorum_set(rs), 4),
+                                "quorum set catching_up");
+  ReadSetDelta d;
+  d.primary = "replica/1";
+  expect_rejected_without_throw(inflate(encode_read_set_delta(d), 8),
+                                "read set delta removed");
+  expect_rejected_without_throw(inflate(encode_read_set_delta(d), 4),
+                                "read set delta added");
+  CkptDelta c = golden_ckpt(32);
+  c.entries.clear();
+  expect_rejected_without_throw(inflate(encode_ckpt_delta(c), 4), "ckpt delta");
+  LogReplay lr = golden_log_replay();
+  lr.entries.clear();
+  expect_rejected_without_throw(inflate(encode_log_replay(lr), 4), "log replay");
+  expect_rejected_without_throw(inflate(encode_alive_epoch(AliveEpoch{}), 4),
+                                "alive epoch");
+  ReplyCache rc;
+  rc.member = "replica/1";
+  expect_rejected_without_throw(inflate(encode_reply_cache(rc), 4), "reply cache");
 }
 
 }  // namespace

@@ -236,6 +236,37 @@ TEST(LenFramerTest, FragmentedFramesReassemble) {
   }
 }
 
+TEST(LenFramerTest, ManySmallFramesPerChunkAndASplitFrame) {
+  // Each chunk carries many whole frames and then the head of the next
+  // one; its tail arrives with the following chunk, after the consumed
+  // frames ahead of it have been dropped.
+  constexpr int kChunks = 20;
+  constexpr int kPerChunk = 200;
+  Bytes stream;
+  for (int i = 0; i < kChunks * kPerChunk; ++i) {
+    append_bytes(stream, encode_heartbeat(HeartbeatMsg{static_cast<std::uint64_t>(i)}));
+  }
+  const std::size_t frame_size = stream.size() / (kChunks * kPerChunk);
+  LenFramer f;
+  std::uint64_t next_id = 0;
+  std::size_t fed = 0;
+  for (int c = 1; c <= kChunks; ++c) {
+    const std::size_t end = c == kChunks ? stream.size()
+                                         : c * kPerChunk * frame_size + frame_size / 2;
+    f.feed(Bytes(stream.begin() + static_cast<std::ptrdiff_t>(fed),
+                 stream.begin() + static_cast<std::ptrdiff_t>(end)));
+    fed = end;
+    while (auto frame = f.next()) {
+      ASSERT_EQ(frame->op, Op::kHeartbeat);
+      EXPECT_EQ(decode_heartbeat(frame->payload)->daemon_id, next_id++);
+    }
+    EXPECT_EQ(f.buffered(), c == kChunks ? 0 : frame_size / 2);
+  }
+  EXPECT_EQ(next_id, static_cast<std::uint64_t>(kChunks * kPerChunk));
+  EXPECT_EQ(f.buffered(), 0u);
+  EXPECT_FALSE(f.corrupt());
+}
+
 TEST(LenFramerTest, BadOpcodePoisons) {
   LenFramer f;
   Bytes evil{1, 0, 0, 0, 99};  // len 1, opcode 99
@@ -259,6 +290,29 @@ TEST(LenFramerTest, MalformedPayloadRejectedByDecoder) {
   auto frame = f.next();
   ASSERT_TRUE(frame.has_value());  // framing fine...
   EXPECT_FALSE(decode_deliver(frame->payload).ok());  // ...content is not
+}
+
+TEST(InflatedCountTest, CountDecodersRejectWithoutThrowing) {
+  // A count read off the wire sizes a reservation; claiming 0xFFFFFFFF
+  // entries must fail to decode, not throw out of reserve().
+  auto body = [](const Bytes& frame) {
+    return Bytes(frame.begin() + 5, frame.end());  // strip len+opcode
+  };
+  auto inflate_tail = [](Bytes payload) {
+    for (std::size_t i = payload.size() - 4; i < payload.size(); ++i) payload[i] = 0xFF;
+    return payload;
+  };
+  const Bytes view = inflate_tail(body(encode_view(ViewMsg{"g", 1, {}})));
+  EXPECT_NO_THROW(EXPECT_FALSE(decode_view(view).ok()));
+  const Bytes alive = inflate_tail(body(encode_alive_set(AliveSetMsg{})));
+  EXPECT_NO_THROW(EXPECT_FALSE(decode_alive_set(alive).ok()));
+  // State sync: the group count (its first u32, after next_seq)...
+  Bytes sync = body(encode_state_sync(StateSyncMsg{}));
+  for (std::size_t i = 8; i < 12; ++i) sync[i] = 0xFF;
+  EXPECT_NO_THROW(EXPECT_FALSE(decode_state_sync(sync).ok()));
+  // ...and the trailing alive count.
+  sync = inflate_tail(body(encode_state_sync(StateSyncMsg{})));
+  EXPECT_NO_THROW(EXPECT_FALSE(decode_state_sync(sync).ok()));
 }
 
 }  // namespace

@@ -122,6 +122,28 @@ TEST(FrameBufferTest, ZeroLengthBody) {
   EXPECT_EQ(f->data.size(), kHeaderSize);
 }
 
+TEST(FrameBufferTest, ThousandBackToBackMessagesInOneChunk) {
+  constexpr std::uint32_t kMessages = 1000;
+  Bytes chunk;
+  for (std::uint32_t id = 1; id <= kMessages; ++id) {
+    append_bytes(chunk, sample_request(id));
+  }
+  FrameBuffer fb;
+  fb.feed(chunk);
+  for (std::uint32_t id = 1; id <= kMessages; ++id) {
+    auto f = fb.next();
+    ASSERT_TRUE(f.has_value()) << "id=" << id;
+    EXPECT_EQ(decode_request(f->data)->request_id, id);
+  }
+  EXPECT_FALSE(fb.next().has_value());
+  EXPECT_EQ(fb.buffered(), 0u);
+  // The stream carries on normally after the drained chunk.
+  fb.feed(sample_request(kMessages + 1));
+  auto f = fb.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(decode_request(f->data)->request_id, kMessages + 1);
+}
+
 class FragmentationSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FragmentationSweepTest, AnyChunkSizeReassembles) {

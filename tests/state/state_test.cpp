@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "state/checkpoint.h"
 #include "state/message_log.h"
 
@@ -43,6 +45,29 @@ TEST(AppStateTest, DirtyTrackingAccumulatesAndClears) {
   EXPECT_TRUE(s.take_dirty().empty());  // cleared by the take
   (void)s.apply_next();
   EXPECT_EQ(s.take_dirty().size(), 1u);
+}
+
+TEST(AppStateTest, TakeDirtyMatchesAFullBitmapScan) {
+  // Seeded bursts of apply_next() between takes, long enough that keys
+  // repeat within one take and across takes. The reference marks each
+  // op's slot in its own bitmap and scans every key at take time.
+  constexpr std::uint32_t kKeys = 37;
+  AppState s(kKeys);
+  std::vector<bool> reference(kKeys, false);
+  std::mt19937 rng(2004);
+  std::uniform_int_distribution<int> burst(0, 3 * kKeys);
+  for (int take = 0; take < 200; ++take) {
+    for (int i = burst(rng); i > 0; --i) {
+      const std::uint64_t seq = s.apply_next();
+      reference[seq % kKeys] = true;
+    }
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t k = 0; k < kKeys; ++k) {
+      if (reference[k]) expected.push_back(k);
+      reference[k] = false;
+    }
+    ASSERT_EQ(s.take_dirty(), expected) << "take " << take;
+  }
 }
 
 TEST(AppStateTest, InstallAndProgressRebuildExactState) {
@@ -137,6 +162,29 @@ TEST(CheckpointStoreTest, DetectsGapStaleAndDivergence) {
   bad.prev_digest ^= 1;
   EXPECT_EQ(mstore.apply(bad, mirror),
             CheckpointStore::Apply::kDigestMismatch);
+}
+
+TEST(CheckpointStoreTest, MovingApplyConsumesOnlyWhatItApplies) {
+  AppState primary(8);
+  CheckpointStore primary_store;
+  (void)primary.apply_next();
+  Checkpoint base = primary_store.take(primary);
+  (void)primary.apply_next();
+  Checkpoint delta = primary_store.take(primary);
+
+  AppState mirror(8);
+  CheckpointStore mirror_store;
+  // Out of order: the delta gaps and is handed back intact for buffering.
+  Checkpoint early = delta;
+  ASSERT_EQ(mirror_store.apply(std::move(early), mirror),
+            CheckpointStore::Apply::kGap);
+  EXPECT_EQ(early, delta);
+  ASSERT_EQ(mirror_store.apply(std::move(base), mirror),
+            CheckpointStore::Apply::kApplied);
+  ASSERT_EQ(mirror_store.apply(std::move(early), mirror),
+            CheckpointStore::Apply::kApplied);
+  EXPECT_EQ(mirror_store.chain().back(), delta);
+  EXPECT_EQ(mirror.digest(), primary.digest());
 }
 
 TEST(MessageLogTest, TruncateOnCheckpointAndFullFlag) {
