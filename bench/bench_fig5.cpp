@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "perf.h"
 
 using namespace mead;
 using namespace mead::bench;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "perf.h"
 
 using namespace mead;
 using namespace mead::bench;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "perf.h"
 
 using namespace mead;
 using namespace mead::bench;
@@ -50,7 +49,6 @@ ExperimentSpec spec_for(std::size_t group_count, int invocations,
   }
   if (scaled_plane) {
     spec.gc_plane = gc::PlaneOptions::scaled();
-    spec.rm.delta_read_sets = true;
   }
   return spec;
 }

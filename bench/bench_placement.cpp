@@ -1,24 +1,21 @@
-// Placement-policy bench: what does a host failure cost the Recovery
+// Algorithmic placement bench: what does a host failure cost the Recovery
 // Manager in placement traffic as the group count grows?
 //
-// Sweep: {16, 64} two-replica groups on a fixed 50-worker pool, under the
-// explicit kRestripe policy vs the algorithmic policy (jump-hash over the
-// published alive universe), with a failure burst of {1, 4} worker-node
-// crashes mid-run. The RM runs replicated (two replicas) so the
-// algorithmic epoch frames are real wire traffic, not a solo no-op.
+// Sweep: {16, 64} two-replica groups on a fixed 50-worker pool under the
+// algorithmic policy (jump-hash over the published alive universe), with
+// a failure burst of {1, 4} worker-node crashes mid-run. The RM runs
+// replicated (two replicas) so the epoch frames are real wire traffic,
+// not a solo no-op.
 //
-// The claim under test (DESIGN.md §3.10): under kRestripe every affected
-// group costs the manager one explicit placement, so a host failure's
-// placement traffic grows with the number of co-located groups — while
-// under kAlgorithmic the manager publishes ONE alive-epoch frame per
-// failure and every replica computes the same replacement locally, so the
-// per-failure traffic is O(1) in the group count. Each run records
-//   placement_frames   restripe: "rm.restripe.placements" delta;
-//                      algorithmic: "rm.placement.frames" delta
-//   reactive_launches  the recovery work itself (identical job, either way)
+// The claim under test (DESIGN.md §3.10): the manager publishes ONE
+// alive-epoch frame per failure and every replica computes the same
+// replacement locally, so the per-failure placement traffic is O(1) in
+// the group count. Each run records
+//   placement_frames   "rm.placement.frames" delta
+//   reactive_launches  the recovery work itself
 // into BENCH_placement.json; ci/check_bench_regression.py holds the
-// algorithmic frames exactly equal across group counts (per burst) and the
-// restripe frames strictly growing — the O(1) regression guard.
+// frames exactly equal across group counts (per burst) — the O(1)
+// regression guard.
 //
 // No paper counterpart: DSN 2004 places replicas statically (§4).
 #include <chrono>
@@ -28,7 +25,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "perf.h"
 
 using namespace mead;
 using namespace mead::bench;
@@ -42,8 +38,7 @@ constexpr int kInvocationsPerGroup = 300;
 /// carry one replica at 16 groups and three at 64 — the burst always hits
 /// live replicas at both scales. The RM pair lives on the last two workers,
 /// which no burst touches.
-ExperimentSpec spec_for(std::size_t group_count, core::PlacementPolicy policy,
-                        int burst) {
+ExperimentSpec spec_for(std::size_t group_count, int burst) {
   ExperimentSpec spec;
   spec.seed = 2004;
   spec.invocations = kInvocationsPerGroup;
@@ -56,7 +51,7 @@ ExperimentSpec spec_for(std::size_t group_count, core::PlacementPolicy policy,
     if (g > 0) s.service = "Svc" + std::to_string(g);
     s.replica_count = 2;
     s.inject_leak = false;
-    s.placement = policy;
+    s.placement = core::PlacementPolicy::kAlgorithmic;
     spec.groups.push_back(std::move(s));
   }
   spec.rm.replicas = 2;
@@ -72,108 +67,85 @@ ExperimentSpec spec_for(std::size_t group_count, core::PlacementPolicy policy,
 int main() {
   const std::vector<std::size_t> group_counts = {16, 64};
   const std::vector<int> bursts = {1, 4};
-  const core::PlacementPolicy policies[] = {
-      core::PlacementPolicy::kRestripe, core::PlacementPolicy::kAlgorithmic};
 
-  std::printf("Placement-policy sweep: 2-replica groups on 50 workers, "
+  std::printf("Algorithmic placement sweep: 2-replica groups on 50 workers, "
               "replicated RM, crash burst at 200 ms\n\n");
-  std::printf("%-13s %-7s %-6s %12s %10s %12s %10s\n", "Policy", "Groups",
-              "Burst", "PlaceFrames", "Reactive", "Events", "Wall(ms)");
+  std::printf("%-7s %-6s %12s %10s %12s %10s\n", "Groups", "Burst",
+              "PlaceFrames", "Reactive", "Events", "Wall(ms)");
 
   PerfReport perf("placement");
-  // frames[{algorithmic, groups, burst}] for the O(1) cross-checks below.
-  std::vector<std::tuple<bool, std::size_t, int, std::uint64_t>> frames_seen;
+  // frames[{groups, burst}] for the O(1) cross-check below.
+  std::vector<std::tuple<std::size_t, int, std::uint64_t>> frames_seen;
   int rc = 0;
-  for (const auto policy : policies) {
-    const bool algorithmic = policy == core::PlacementPolicy::kAlgorithmic;
-    const char* policy_name = algorithmic ? "algorithmic" : "restripe";
-    for (const std::size_t groups : group_counts) {
-      for (const int burst : bursts) {
-        const ExperimentSpec spec = spec_for(groups, policy, burst);
-        app::Experiment exp(spec);
-        if (!exp.start()) {
-          std::fprintf(stderr, "%s/%zu/%d: start failed\n", policy_name,
-                       groups, burst);
-          return 1;
-        }
-        const std::uint64_t frames0 =
-            exp.obs().metrics().counter_value("rm.placement.frames");
-        const auto wall0 = std::chrono::steady_clock::now();
-        exp.launch_client();
-        exp.run_to_completion();
-        exp.sim().run_for(milliseconds(800));  // replacements settle
-        ExperimentResult r = exp.collect();
-        r.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - wall0)
-                        .count();
-
-        const std::uint64_t frames =
-            algorithmic
-                ? exp.obs().metrics().counter_value("rm.placement.frames") -
-                      frames0
-                : r.restripes;
-        std::uint64_t reactive = 0;
-        for (const auto& g : r.group_results) reactive += g.reactive_launches;
-
-        const std::string label = std::string(policy_name) + " " +
-                                  std::to_string(groups) + " groups burst" +
-                                  std::to_string(burst);
-        perf.add(spec, r, label,
-                 {{"placement_frames", static_cast<double>(frames)},
-                  {"reactive_launches", static_cast<double>(reactive)},
-                  {"burst", static_cast<double>(burst)},
-                  {"algorithmic", algorithmic ? 1.0 : 0.0}});
-        std::printf("%-13s %-7zu %-6d %12llu %10llu %12llu %10.1f\n",
-                    policy_name, groups, burst,
-                    static_cast<unsigned long long>(frames),
-                    static_cast<unsigned long long>(reactive),
-                    static_cast<unsigned long long>(r.sim_events), r.wall_ms);
-
-        if (r.total_invocations() !=
-            static_cast<std::uint64_t>(kInvocationsPerGroup) * groups) {
-          std::fprintf(stderr, "%s: incomplete (%llu invocations)\n",
-                       label.c_str(),
-                       static_cast<unsigned long long>(r.total_invocations()));
-          rc = 1;
-        }
-        if (frames == 0) {
-          std::fprintf(stderr, "%s: no placement frames recorded\n",
-                       label.c_str());
-          rc = 1;
-        }
-        frames_seen.emplace_back(algorithmic, groups, burst, frames);
+  for (const std::size_t groups : group_counts) {
+    for (const int burst : bursts) {
+      const ExperimentSpec spec = spec_for(groups, burst);
+      app::Experiment exp(spec);
+      if (!exp.start()) {
+        std::fprintf(stderr, "%zu/%d: start failed\n", groups, burst);
+        return 1;
       }
+      const std::uint64_t frames0 =
+          exp.obs().metrics().counter_value("rm.placement.frames");
+      const auto wall0 = std::chrono::steady_clock::now();
+      exp.launch_client();
+      exp.run_to_completion();
+      exp.sim().run_for(milliseconds(800));  // replacements settle
+      ExperimentResult r = exp.collect();
+      r.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - wall0)
+                      .count();
+
+      const std::uint64_t frames =
+          exp.obs().metrics().counter_value("rm.placement.frames") - frames0;
+      std::uint64_t reactive = 0;
+      for (const auto& g : r.group_results) reactive += g.reactive_launches;
+
+      const std::string label = "algorithmic " + std::to_string(groups) +
+                                " groups burst" + std::to_string(burst);
+      perf.add(spec, r, label,
+               {{"placement_frames", static_cast<double>(frames)},
+                {"reactive_launches", static_cast<double>(reactive)},
+                {"burst", static_cast<double>(burst)},
+                {"algorithmic", 1.0}});
+      std::printf("%-7zu %-6d %12llu %10llu %12llu %10.1f\n", groups, burst,
+                  static_cast<unsigned long long>(frames),
+                  static_cast<unsigned long long>(reactive),
+                  static_cast<unsigned long long>(r.sim_events), r.wall_ms);
+
+      if (r.total_invocations() !=
+          static_cast<std::uint64_t>(kInvocationsPerGroup) * groups) {
+        std::fprintf(stderr, "%s: incomplete (%llu invocations)\n",
+                     label.c_str(),
+                     static_cast<unsigned long long>(r.total_invocations()));
+        rc = 1;
+      }
+      if (frames == 0) {
+        std::fprintf(stderr, "%s: no placement frames recorded\n",
+                     label.c_str());
+        rc = 1;
+      }
+      frames_seen.emplace_back(groups, burst, frames);
     }
   }
 
-  // The O(1) property, checked in-process too: per burst, the algorithmic
-  // frame count must not depend on the group count, while the explicit
-  // policy's must grow with it.
-  auto frames_of = [&](bool algo, std::size_t g, int b) -> std::uint64_t {
-    for (const auto& [a, gg, bb, f] : frames_seen) {
-      if (a == algo && gg == g && bb == b) return f;
+  // The O(1) property, checked in-process too: per burst, the frame count
+  // must not depend on the group count.
+  auto frames_of = [&](std::size_t g, int b) -> std::uint64_t {
+    for (const auto& [gg, bb, f] : frames_seen) {
+      if (gg == g && bb == b) return f;
     }
     return 0;
   };
   for (const int burst : bursts) {
-    const std::uint64_t a16 = frames_of(true, 16, burst);
-    const std::uint64_t a64 = frames_of(true, 64, burst);
-    const std::uint64_t r16 = frames_of(false, 16, burst);
-    const std::uint64_t r64 = frames_of(false, 64, burst);
+    const std::uint64_t a16 = frames_of(16, burst);
+    const std::uint64_t a64 = frames_of(64, burst);
     if (a16 != a64) {
       std::fprintf(stderr,
                    "burst %d: algorithmic frames scale with groups "
                    "(16 -> %llu, 64 -> %llu)\n",
                    burst, static_cast<unsigned long long>(a16),
                    static_cast<unsigned long long>(a64));
-      rc = 1;
-    }
-    if (r64 <= r16) {
-      std::fprintf(stderr,
-                   "burst %d: restripe frames did not grow with groups "
-                   "(16 -> %llu, 64 -> %llu) — contrast lost\n",
-                   burst, static_cast<unsigned long long>(r16),
-                   static_cast<unsigned long long>(r64));
       rc = 1;
     }
   }

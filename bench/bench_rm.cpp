@@ -3,9 +3,10 @@
 // itself dies mid-recovery?
 //
 // Four scenarios share one cluster (eight nodes, six workers, one
-// 3-replica restripe group) and one fault: a worker-node crash at 200 ms
-// that takes a service replica with it. They differ only in the RM
-// deployment and in which RM host (if any) is also crashed:
+// 3-replica group under algorithmic placement) and one fault: a
+// worker-node crash at 200 ms that takes a service replica with it. They
+// differ only in the RM deployment and in which RM host (if any) is also
+// crashed:
 //
 //   solo            the paper's single manager (RmSpec default)
 //   replicated      three RM replicas on workers w3..w5, none crashed
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "perf.h"
 
 using namespace mead;
 using namespace mead::bench;
@@ -44,7 +44,7 @@ ExperimentSpec base_spec() {
   app::ServiceGroupSpec g;
   g.replica_count = 3;
   g.inject_leak = false;
-  g.placement = core::PlacementPolicy::kRestripe;
+  g.placement = core::PlacementPolicy::kAlgorithmic;
   spec.groups.push_back(std::move(g));
   spec.rm.launch_delay = milliseconds(20);
   return spec;

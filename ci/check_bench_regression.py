@@ -245,16 +245,12 @@ def check_migration_trends(name: str, report: dict, failures: list) -> None:
 
 # O(1) placement-traffic guard for the placement sweep — self-contained
 # in the fresh BENCH_placement.json (no baseline required). Frames are
-# counts of deterministic simulated control traffic, so both properties
-# hold exactly, not within a tolerance:
-#   1. algorithmic placement frames are independent of the group count:
-#      per failure burst, the 64-group run publishes exactly as many
-#      alive-epoch frames as the 16-group run (the O(1) claim — one frame
-#      per failure, every RM replica computes the placement locally);
-#   2. explicit (restripe) placement frames GROW with the group count —
-#      the contrast that makes property 1 worth guarding. If this stops
-#      holding, the burst no longer hits co-located groups and the sweep
-#      is no longer measuring anything.
+# counts of deterministic simulated control traffic, so the property
+# holds exactly, not within a tolerance: algorithmic placement frames are
+# independent of the group count — per failure burst, the 64-group run
+# publishes exactly as many alive-epoch frames as the 16-group run (the
+# O(1) claim — one frame per failure, every RM replica computes the
+# placement locally).
 def check_placement_o1(name: str, report: dict, failures: list) -> None:
     runs = [r for r in report.get("runs", [])
             if "placement_frames" in r and "burst" in r
@@ -284,16 +280,6 @@ def check_placement_o1(name: str, report: dict, failures: list) -> None:
                 print(f"ok   {name}: algorithmic frames O(1) in groups at "
                       f"burst {burst} ({small} and {large} groups both "
                       f"-> {a_large:.0f})")
-        r_small = by.get((0, small, burst))
-        r_large = by.get((0, large, burst))
-        if r_small is not None and r_large is not None:
-            if r_large <= r_small:
-                fail(f"restripe placement frames did not grow with groups "
-                     f"at burst {burst}: {small} groups -> {r_small:.0f}, "
-                     f"{large} groups -> {r_large:.0f} (contrast lost)")
-            else:
-                print(f"ok   {name}: restripe frames grow with groups at "
-                      f"burst {burst} ({r_small:.0f} -> {r_large:.0f})")
 
 
 def main() -> int:

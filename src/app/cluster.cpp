@@ -84,7 +84,7 @@ bool ServiceGroup::spawn_replica(int incarnation, const std::string& host_hint) 
   }
   // Incarnations round-robin over the group's own host set (one live
   // replica per host, which the Naming rebind-by-host convention needs),
-  // unless the Recovery Manager restriped the launch onto a specific host.
+  // unless the Recovery Manager placed the launch on a specific host.
   const std::string& host =
       host_hint.empty()
           ? spec_.hosts[static_cast<std::size_t>(incarnation - 1) %

@@ -72,9 +72,6 @@ struct RmSpec {
   std::vector<std::string> hosts;
   /// Replica spin-up scheduling latency modelled by every RM replica.
   Duration launch_delay = milliseconds(2);
-  /// Publish read-set updates delta-encoded against the previous version
-  /// (core::RecoveryManagerConfig::delta_read_sets). Default off.
-  bool delta_read_sets = false;
   /// Let a partition-retired RM replica rejoin as a cold backup by
   /// restoring RmCore state from the acting replica (default off: the
   /// PR-6 permanent fail-stop retirement).
@@ -100,8 +97,8 @@ struct ServiceGroupSpec {
   /// Empty: striped from the topology's worker pool.
   std::vector<std::string> hosts;
   /// kCycle (default): incarnations round-robin over `hosts` — the paper's
-  /// static placement. kRestripe: the Recovery Manager picks the first
-  /// alive, unoccupied host (hosts, then the topology's worker pool), so
+  /// static placement. kAlgorithmic: the Recovery Manager derives each
+  /// relaunch's host from the alive worker pool (core/placement.h), so
   /// relaunches route around crashed nodes.
   core::PlacementPolicy placement = core::PlacementPolicy::kCycle;
   /// kWarmPassive (default): only the primary serves — the paper's model.
@@ -139,7 +136,7 @@ class ServiceGroup {
   ServiceGroup& operator=(const ServiceGroup&) = delete;
 
   /// Recovery Manager factory hook: builds incarnation `incarnation` on
-  /// `host_hint` when given (restripe placement), otherwise on the host the
+  /// `host_hint` when given (algorithmic placement), otherwise on the host the
   /// group's own round-robin cycle derives. Returns false — releasing the
   /// launch slot — when the target host does not exist (e.g. crashed away).
   bool spawn_replica(int incarnation, const std::string& host_hint = {});

@@ -73,7 +73,6 @@ StartResult Experiment::start() {
   forwards0_ = delta("orb.forwards_followed");
   proactive0_ = delta("rm.proactive_launches");
   chaos0_ = delta("chaos.faults");
-  restripes0_ = delta("rm.restripe.placements");
   rm_failovers0_ = delta("rm.failovers");
   ckpt_deltas0_ = delta("state.ckpt.deltas");
   ckpt_bytes0_ = delta("state.ckpt.bytes");
@@ -168,7 +167,6 @@ ExperimentResult Experiment::collect() const {
   out.proactive_launches = delta("rm.proactive_launches") - proactive0_;
   out.sim_events = bed_.sim().events_processed();
   out.chaos_faults = delta("chaos.faults") - chaos0_;
-  out.restripes = delta("rm.restripe.placements") - restripes0_;
   out.rm_failovers = delta("rm.failovers") - rm_failovers0_;
   out.ckpt_deltas = delta("state.ckpt.deltas") - ckpt_deltas0_;
   out.ckpt_bytes = delta("state.ckpt.bytes") - ckpt_bytes0_;

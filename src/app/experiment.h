@@ -152,7 +152,6 @@ struct ExperimentResult {
   std::uint64_t proactive_launches = 0;
   std::uint64_t sim_events = 0;        // kernel events processed by the run
   std::uint64_t chaos_faults = 0;      // scheduled faults executed
-  std::uint64_t restripes = 0;         // restripe placements ("rm.restripe.placements")
   std::uint64_t rm_failovers = 0;      // backup RM promotions ("rm.failovers")
   // Stateful-service pipeline (all zero / true when no group enables
   // StateOptions — the counters are never even created then).
@@ -276,7 +275,6 @@ class Experiment {
   std::uint64_t forwards0_ = 0;
   std::uint64_t proactive0_ = 0;
   std::uint64_t chaos0_ = 0;
-  std::uint64_t restripes0_ = 0;
   std::uint64_t rm_failovers0_ = 0;
   std::uint64_t ckpt_deltas0_ = 0;
   std::uint64_t ckpt_bytes0_ = 0;

@@ -134,6 +134,11 @@ class ExperimentClient {
   [[nodiscard]] const orb::Router* router() const {
     return targets_.empty() ? nullptr : targets_.front().router.get();
   }
+  /// The first target's read-set subscriber; null unless its group
+  /// publishes a read set and a routing policy is attached.
+  [[nodiscard]] const core::ReadSetSubscriber* read_set() const {
+    return targets_.empty() ? nullptr : targets_.front().read_set.get();
+  }
   [[nodiscard]] std::size_t target_count() const { return targets_.size(); }
   /// Process name / obs actor ("client", "<svc>/client", "stripe/client").
   [[nodiscard]] const std::string& actor_label() const { return label_; }

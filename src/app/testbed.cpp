@@ -189,7 +189,6 @@ StartResult Testbed::start() {
   rm_cfg.groups.clear();
   rm_cfg.launch_delay = opts_.rm.launch_delay;
   rm_cfg.self_supervise = opts_.rm.replicas > 1;
-  rm_cfg.delta_read_sets = opts_.rm.delta_read_sets;
   rm_cfg.readmit_retired = opts_.rm.readmit;
   std::size_t target_total = 0;
   for (const auto& g : groups_) {
@@ -198,12 +197,7 @@ StartResult Testbed::start() {
     target.style = g->spec().style;
     target.stateful = g->spec().state.enabled;
     target.migration = g->spec().migration;
-    if (target.placement == core::PlacementPolicy::kRestripe) {
-      target.hosts = g->hosts();
-      // Spill pool: the whole worker set, so a group survives losing its
-      // own placement hosts as long as any worker node is still alive.
-      target.spares = opts_.topology.worker_nodes;
-    } else if (target.placement == core::PlacementPolicy::kAlgorithmic) {
+    if (target.placement == core::PlacementPolicy::kAlgorithmic) {
       target.hosts = g->hosts();
       // Placement universe: every worker except the late joiners — those
       // enter via a chaos join_node event and trigger a rebalance.

@@ -66,7 +66,6 @@ enum class ReplicationStyle : std::uint8_t {
 /// How the Recovery Manager chooses a host for a new replica incarnation.
 enum class PlacementPolicy : std::uint8_t {
   kCycle,        // hosts[(incarnation-1) % size] — the paper's static cycle
-  kRestripe,     // first live, unoccupied host from the group's set + spares
   kAlgorithmic,  // pure function of (group, incarnation, sorted alive set):
                  // jump-consistent hash, computed by every RmCore replica
                  // independently — O(1) RM traffic per failure (core/placement.h)
@@ -75,7 +74,6 @@ enum class PlacementPolicy : std::uint8_t {
 [[nodiscard]] constexpr std::string_view to_string(PlacementPolicy p) {
   switch (p) {
     case PlacementPolicy::kCycle: return "cycle";
-    case PlacementPolicy::kRestripe: return "restripe";
     case PlacementPolicy::kAlgorithmic: return "algorithmic";
   }
   return "?";

@@ -124,18 +124,6 @@ Bytes encode_read_set(const ReadSet& m) {
   return w.take();
 }
 
-Bytes encode_read_set_delta(const ReadSetDelta& m) {
-  CdrWriter w = ctrl_writer(CtrlKind::kReadSetDelta);
-  w.write_u64(m.base_version);
-  w.write_u64(m.version);
-  w.write_string(m.primary);
-  w.write_u32(static_cast<std::uint32_t>(m.removed.size()));
-  for (const auto& name : m.removed) w.write_string(name);
-  w.write_u32(static_cast<std::uint32_t>(m.added.size()));
-  for (const auto& e : m.added) write_announce(w, e);
-  return w.take();
-}
-
 Bytes encode_node_crash(const NodeCrash& m) {
   CdrWriter w = ctrl_writer(CtrlKind::kNodeCrash);
   w.write_string(m.host);
@@ -199,13 +187,6 @@ Bytes encode_log_replay(const LogReplay& m) {
   w.write_u64(m.digest);
   w.write_u32(static_cast<std::uint32_t>(m.entries.size()));
   for (std::uint64_t seq : m.entries) w.write_u64(seq);
-  return w.take();
-}
-
-Bytes encode_read_set_nack(const ReadSetNack& m) {
-  CdrWriter w = ctrl_writer(CtrlKind::kReadSetNack);
-  w.write_string(m.service);
-  w.write_u64(m.have_version);
   return w.take();
 }
 
@@ -358,37 +339,6 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
       msg.read_set = std::move(rs);
       return msg;
     }
-    case CtrlKind::kReadSetDelta: {
-      msg.kind = CtrlKind::kReadSetDelta;
-      auto base = r.read_u64();
-      if (!base) return std::nullopt;
-      auto version = r.read_u64();
-      if (!version) return std::nullopt;
-      auto primary = r.read_string();
-      if (!primary) return std::nullopt;
-      auto nr = r.read_u32();
-      if (!nr) return std::nullopt;
-      ReadSetDelta d;
-      d.base_version = base.value();
-      d.version = version.value();
-      d.primary = std::move(primary.value());
-      d.removed.reserve(r.bounded_count(nr.value(), kMinString));
-      for (std::uint32_t i = 0; i < nr.value(); ++i) {
-        auto name = r.read_string();
-        if (!name) return std::nullopt;
-        d.removed.push_back(std::move(name.value()));
-      }
-      auto na = r.read_u32();
-      if (!na) return std::nullopt;
-      d.added.reserve(r.bounded_count(na.value(), kMinAnnounce));
-      for (std::uint32_t i = 0; i < na.value(); ++i) {
-        auto a = read_announce(r);
-        if (!a) return std::nullopt;
-        d.added.push_back(std::move(*a));
-      }
-      msg.read_set_delta = std::move(d);
-      return msg;
-    }
     case CtrlKind::kNodeCrash: {
       msg.kind = CtrlKind::kNodeCrash;
       auto host = r.read_string();
@@ -498,16 +448,6 @@ std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
         lr.entries.push_back(seq.value());
       }
       msg.log_replay = std::move(lr);
-      return msg;
-    }
-    case CtrlKind::kReadSetNack: {
-      msg.kind = CtrlKind::kReadSetNack;
-      auto service = r.read_string();
-      if (!service) return std::nullopt;
-      auto have = r.read_u64();
-      if (!have) return std::nullopt;
-      msg.read_set_nack = ReadSetNack{std::move(service.value()),
-                                      have.value()};
       return msg;
     }
     case CtrlKind::kAliveEpoch: {

@@ -38,6 +38,8 @@ std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame);
 
 // ---- group-communication control payloads ----
 
+/// Kind numbers are wire values: 10 and 14 (the retired delta read-set
+/// and its gap NACK) stay unused so old frames never alias a new kind.
 enum class CtrlKind : std::uint8_t {
   kAnnounce = 1,      // replica advertises member/endpoint/IOR
   kListing = 2,       // first replica synchronizes the full listing (§4.3)
@@ -48,11 +50,9 @@ enum class CtrlKind : std::uint8_t {
   kReadSet = 7,       // RM publishes the read-fanout serving set
   kNodeCrash = 8,     // RM replica replicates a node-crash observation
   kLaunchFailed = 9,  // acting RM reports a replica factory failure
-  kReadSetDelta = 10, // read-set update delta-encoded vs the last version
   kCkptDelta = 11,    // stateful checkpoint (base snapshot or dirty delta)
   kCkptRequest = 12,  // restoring replica asks a live peer for the chain
   kLogReplay = 13,    // message-log suffix closing a directed restore
-  kReadSetNack = 14,  // subscriber detected a delta gap; asks for a full set
   kAliveEpoch = 15,   // RM publishes the alive-host-set epoch (kAlgorithmic)
   kNodeJoin = 16,     // RM replica replicates a node-join observation
   kRetire = 17,       // RM asks a replica to retire (rebalance migration)
@@ -140,21 +140,6 @@ struct ReadSet {
   friend bool operator==(const ReadSet&, const ReadSet&) = default;
 };
 
-/// A read-set update encoded as the difference against `base_version`
-/// (the previously published set): removed members by name, added entries
-/// in full. Subscribers whose last-seen version is not `base_version`
-/// ignore the delta and wait for the next full publication — RM failover
-/// and subscriber (re)joins always republish in full, which heals any gap.
-struct ReadSetDelta {
-  ReadSetDelta() = default;
-  std::uint64_t base_version = 0;
-  std::uint64_t version = 0;
-  std::string primary;
-  std::vector<std::string> removed;  // member names dropped from the set
-  std::vector<Announce> added;       // entries appended to the set
-  friend bool operator==(const ReadSetDelta&, const ReadSetDelta&) = default;
-};
-
 /// A whole-node crash, observed locally by an RM replica's shell and
 /// multicast on rm_group() so every replica's RmCore releases launch slots
 /// reserved on the dead host at the same point in the total order. Every
@@ -222,19 +207,6 @@ struct LogReplay {
   std::uint64_t digest = 0;
   std::vector<std::uint64_t> entries;  // request seqs, ascending
   friend bool operator==(const LogReplay&, const LogReplay&) = default;
-};
-
-/// A read-set subscriber saw a kReadSetDelta whose base_version did not
-/// match its last-applied version (a dropped delta, e.g. under a
-/// partition). Multicast on the read-set group; the acting RM answers
-/// with a full kReadSet republication.
-struct ReadSetNack {
-  ReadSetNack() = default;
-  ReadSetNack(std::string s, std::uint64_t v)
-      : service(std::move(s)), have_version(v) {}
-  std::string service;
-  std::uint64_t have_version = 0;  // subscriber's last-applied version
-  friend bool operator==(const ReadSetNack&, const ReadSetNack&) = default;
 };
 
 /// The alive-host-set epoch for algorithmic placement: published by the
@@ -326,7 +298,6 @@ struct ReplyCache {
 
 Bytes encode_announce(const Announce& m);
 Bytes encode_read_set(const ReadSet& m);
-Bytes encode_read_set_delta(const ReadSetDelta& m);
 Bytes encode_listing(const Listing& m);
 Bytes encode_launch_request(const LaunchRequest& m);
 Bytes encode_primary_query(const PrimaryQuery& m);
@@ -337,7 +308,6 @@ Bytes encode_launch_failed(const LaunchFailed& m);
 Bytes encode_ckpt_delta(const CkptDelta& m);
 Bytes encode_ckpt_request(const CkptRequest& m);
 Bytes encode_log_replay(const LogReplay& m);
-Bytes encode_read_set_nack(const ReadSetNack& m);
 Bytes encode_alive_epoch(const AliveEpoch& m);
 Bytes encode_node_join(const NodeJoin& m);
 Bytes encode_retire(const Retire& m);
@@ -359,13 +329,11 @@ struct CtrlMsg {
   std::optional<PrimaryAnswer> answer;    // kPrimaryAnswer
   std::optional<StateTransfer> state;     // kState
   std::optional<ReadSet> read_set;        // kReadSet
-  std::optional<ReadSetDelta> read_set_delta;  // kReadSetDelta
   std::optional<NodeCrash> node_crash;    // kNodeCrash
   std::optional<LaunchFailed> launch_failed;  // kLaunchFailed
   std::optional<CkptDelta> ckpt_delta;    // kCkptDelta
   std::optional<CkptRequest> ckpt_request;  // kCkptRequest
   std::optional<LogReplay> log_replay;    // kLogReplay
-  std::optional<ReadSetNack> read_set_nack;  // kReadSetNack
   std::optional<AliveEpoch> alive_epoch;  // kAliveEpoch
   std::optional<NodeJoin> node_join;      // kNodeJoin
   std::optional<Retire> retire;           // kRetire

@@ -1,8 +1,8 @@
 // Algorithmic replica placement (ISSUE 9) — the DAOS rebuild idea ported
 // to MEAD: instead of the Recovery Manager *pushing* an explicit host per
-// relaunch (kCycle/kRestripe), placement under PlacementPolicy::kAlgorithmic
-// is a pure deterministic function of tiny metadata every RmCore replica
-// already holds — (service name, incarnation, sorted alive host set) — so
+// relaunch, placement under PlacementPolicy::kAlgorithmic is a pure
+// deterministic function of tiny metadata every RmCore replica already
+// holds — (service name, incarnation, sorted alive host set) — so
 // the RM's per-failure role shrinks to O(1): publish the new alive-set
 // epoch and let every replica compute the same answer independently.
 //

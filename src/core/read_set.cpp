@@ -26,65 +26,15 @@ sim::Task<void> ReadSetSubscriber::pump() {
     if (event.kind != gc::Event::Kind::kMessage) continue;
     if (event.group != read_set_group(service_)) continue;
     auto ctrl = decode_ctrl(event.payload);
-    if (!ctrl) continue;
-    if ((ctrl->kind == CtrlKind::kReadSet ||
-         ctrl->kind == CtrlKind::kQuorumSet) &&
-        ctrl->read_set) {
-      // kQuorumSet is a full set that additionally carries the
-      // catching_up flags; decode fills the same CtrlMsg::read_set slot,
-      // so both kinds share the monotone-version full-update path.
-      if (ctrl->read_set->version <= last_version_) continue;  // stale
-      apply_full(*ctrl->read_set);
-    } else if (ctrl->kind == CtrlKind::kReadSetDelta && ctrl->read_set_delta) {
-      if (ctrl->read_set_delta->version <= last_version_) continue;  // stale
-      if (ctrl->read_set_delta->base_version != last_version_) {
-        // We missed the base this delta builds on; applying it would
-        // corrupt the set. Ask the RM for a full republication instead of
-        // waiting for the next membership change — under a healed
-        // partition that could be arbitrarily far away. One nack per
-        // detected gap: later deltas over the same hole stay quiet.
-        ++deltas_gapped_;
-        proc_.sim().obs().metrics().counter("readset.gaps").add();
-        if (ctrl->read_set_delta->version > last_nacked_version_) {
-          last_nacked_version_ = ctrl->read_set_delta->version;
-          proc_.sim().spawn(send_nack());
-        }
-        continue;
-      }
-      apply_delta(*ctrl->read_set_delta);
-    }
+    // kReadSet and kQuorumSet (a full set that additionally carries the
+    // catching_up flags) both decode into CtrlMsg::read_set, so they
+    // share the monotone-version update path.
+    if (!ctrl || !ctrl->read_set) continue;
+    if (ctrl->read_set->version <= last_version_) continue;  // stale
+    last_version_ = ctrl->read_set->version;
+    ++applied_;
+    if (cb_) cb_(*ctrl->read_set);
   }
-}
-
-sim::Task<void> ReadSetSubscriber::send_nack() {
-  ++nacks_sent_;
-  proc_.sim().obs().metrics().counter("readset.nacks").add();
-  (void)co_await gc_->multicast(
-      read_set_group(service_),
-      encode_read_set_nack(ReadSetNack{service_, last_version_}));
-}
-
-void ReadSetSubscriber::apply_full(const ReadSet& rs) {
-  current_ = rs;
-  last_version_ = rs.version;
-  ++applied_;
-  if (cb_) cb_(current_);
-}
-
-void ReadSetSubscriber::apply_delta(const ReadSetDelta& d) {
-  // Removals first, then adds: an entry that changed in place travels as
-  // remove(name) + add(entry).
-  for (const auto& name : d.removed) {
-    std::erase_if(current_.entries,
-                  [&](const Announce& e) { return e.member == name; });
-  }
-  for (const auto& e : d.added) current_.entries.push_back(e);
-  current_.primary = d.primary;
-  current_.version = d.version;
-  last_version_ = d.version;
-  ++applied_;
-  ++deltas_applied_;
-  if (cb_) cb_(current_);
 }
 
 }  // namespace mead::core

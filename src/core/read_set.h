@@ -1,14 +1,16 @@
 // Client-side read-set subscription for kActiveReadFanout and kQuorum
 // groups.
 //
-// The Recovery Manager multicasts kReadSet updates on the group's
-// read-set GC group (read_set_group(service)) whenever the serving set
-// changes. A ReadSetSubscriber owns its own GcClient (joining the replica
-// group itself would inflate the Recovery Manager's live count), joins
-// that group, and invokes a callback for every fresh update — typically
-// feeding an orb::Router. Versions are monotone per group; stale or
-// reordered updates are dropped here so callers never see the set move
-// backwards.
+// The Recovery Manager multicasts the full serving set (kReadSet, or
+// kQuorumSet for kQuorum) on the group's read-set GC group
+// (read_set_group(service)) whenever it changes. A ReadSetSubscriber owns
+// its own GcClient (joining the replica group itself would inflate the
+// Recovery Manager's live count), joins that group, and invokes a
+// callback for every fresh update — typically feeding an orb::Router.
+// Versions are monotone per group; stale or reordered updates are dropped
+// here so callers never see the set move backwards. Each set supersedes
+// the last, so a subscriber that missed an update heals at the next
+// publication.
 #pragma once
 
 #include <functional>
@@ -36,33 +38,16 @@ class ReadSetSubscriber {
 
   [[nodiscard]] std::uint64_t last_version() const { return last_version_; }
   [[nodiscard]] std::uint64_t updates_applied() const { return applied_; }
-  /// Deltas applied (subset of updates_applied) / skipped for a version gap.
-  [[nodiscard]] std::uint64_t deltas_applied() const { return deltas_applied_; }
-  [[nodiscard]] std::uint64_t deltas_gapped() const { return deltas_gapped_; }
-  /// kReadSetNack frames multicast after gap detection (at most one per
-  /// gapped version; the RM answers each with a full republication).
-  [[nodiscard]] std::uint64_t nacks_sent() const { return nacks_sent_; }
 
  private:
   sim::Task<void> pump();
-  sim::Task<void> send_nack();
-  void apply_full(const ReadSet& rs);
-  void apply_delta(const ReadSetDelta& d);
 
   net::Process& proc_;
   std::string service_;
   Callback cb_;
   std::unique_ptr<gc::GcClient> gc_;
-  /// The set as of last_version_, kept so deltas can be applied locally.
-  ReadSet current_;
   std::uint64_t last_version_ = 0;
   std::uint64_t applied_ = 0;
-  std::uint64_t deltas_applied_ = 0;
-  std::uint64_t deltas_gapped_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  /// Newest delta version already nacked — one nack per detected gap, not
-  /// one per frame, so a burst of deltas over the same hole stays quiet.
-  std::uint64_t last_nacked_version_ = 0;
 };
 
 }  // namespace mead::core

@@ -17,10 +17,6 @@ RecoveryManager::RecoveryManager(net::ProcessPtr proc,
           proc_->sim().obs().metrics().counter("rm.proactive_launches")),
       reactive_launches_(
           proc_->sim().obs().metrics().counter("rm.reactive_launches")),
-      restripe_placements_(
-          proc_->sim().obs().metrics().counter("rm.restripe.placements")),
-      restripe_skipped_(
-          proc_->sim().obs().metrics().counter("rm.restripe.skipped")),
       readset_updates_(
           proc_->sim().obs().metrics().counter("rm.readset.updates")),
       rm_failovers_(proc_->sim().obs().metrics().counter("rm.failovers")) {
@@ -33,10 +29,6 @@ RecoveryManager::RecoveryManager(net::ProcessPtr proc,
         &metrics.counter("rm.proactive_launches." + target.service);
     c.reactive_launches =
         &metrics.counter("rm.reactive_launches." + target.service);
-    c.restripe_placements =
-        &metrics.counter("rm.restripe.placements." + target.service);
-    c.restripe_skipped =
-        &metrics.counter("rm.restripe.skipped." + target.service);
     c.readset_updates =
         &metrics.counter("rm.readset.updates." + target.service);
     if (target.migration.enabled()) {
@@ -56,6 +48,7 @@ RecoveryManager::RecoveryManager(net::ProcessPtr proc,
                   })) {
     placement_frames_ = &metrics.counter("rm.placement.frames");
     algorithmic_placements_ = &metrics.counter("rm.algorithmic.placements");
+    placement_skipped_ = &metrics.counter("rm.placement.skipped");
     rebalance_moves_ = &metrics.counter("rm.rebalance.moves");
   }
   // Whole-node crashes free any launch slots reserved on the dead host; a
@@ -166,14 +159,11 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
     switch (a.kind) {
       case RmAction::Kind::kLaunch:
         proc_->sim().spawn(launch_task(a.service, a.incarnation, a.host,
-                                       a.proactive, a.restriped, a.algorithmic,
-                                       count));
+                                       a.proactive, a.algorithmic, count));
         break;
       case RmAction::Kind::kLaunchSkipped:
-        if (count) {
-          restripe_skipped_.add();
-          counters_[a.service].restripe_skipped->add();
-        }
+        // Only kAlgorithmic placement skips, so the counter is resolved.
+        if (count) placement_skipped_->add();
         break;
       case RmAction::Kind::kRequestReadmit:
         // Already sent by the pump (it must go out even when not acting).
@@ -187,9 +177,6 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
                                                    a.snapshot})));
         break;
       case RmAction::Kind::kPublishReadSet: {
-        if (a.nack && count) {
-          proc_->sim().obs().metrics().counter("rm.readset.nacks").add();
-        }
         if (!a.republish) {
           readset_updates_.add();
           counters_[a.service].readset_updates->add();
@@ -199,28 +186,17 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         }
         // Encode now (a later refresh must not mutate what this update
         // carries) and multicast from a spawned task: callers sit inside
-        // the event pump. kQuorum sets always travel in full as
-        // kQuorumSet — the catching_up flags have no delta encoding.
-        // Version-bumping fanout updates go out delta-encoded when
-        // configured; repeats always carry the full set so late or
-        // gapped subscribers resynchronize.
+        // the event pump. Every publication carries the full set, so a
+        // subscriber that missed one heals at the next. kQuorum sets
+        // travel as kQuorumSet, which adds the catching_up flags.
         const bool quorum = std::any_of(
             cfg_.groups.begin(), cfg_.groups.end(), [&](const GroupTarget& t) {
               return t.service == a.service &&
                      t.style == ReplicationStyle::kQuorum;
             });
-        if (quorum) {
-          proc_->sim().spawn(
-              multicast_task(a.group, encode_quorum_set(a.read_set)));
-          break;
-        }
-        const bool delta = cfg_.delta_read_sets && a.have_delta && !a.republish;
-        if (delta) {
-          proc_->sim().obs().metrics().counter("rm.readset.deltas").add();
-        }
         proc_->sim().spawn(multicast_task(
-            a.group, delta ? encode_read_set_delta(a.read_set_delta)
-                           : encode_read_set(a.read_set)));
+            a.group, quorum ? encode_quorum_set(a.read_set)
+                            : encode_read_set(a.read_set)));
         break;
       }
       case RmAction::Kind::kPlanMigration:
@@ -277,8 +253,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
 
 sim::Task<void> RecoveryManager::launch_task(std::string service,
                                              int incarnation, std::string host,
-                                             bool proactive, bool restriped,
-                                             bool algorithmic, bool count) {
+                                             bool proactive, bool algorithmic,
+                                             bool count) {
   if (count) {
     launches_.add();
     counters_[service].launches->add();
@@ -297,16 +273,9 @@ sim::Task<void> RecoveryManager::launch_task(std::string service,
   // may have been demoted — in either case the launch is no longer ours.
   if (!core_.slot_pending(service, incarnation)) co_return;
   if (!core_.acting()) co_return;
-  if (restriped && count) {
-    restripe_placements_.add();
-    counters_[service].restripe_placements->add();
-    proc_->sim().obs().emit(obs::EventKind::kRestripe, cfg_.member,
-                            service + ":" + host,
-                            static_cast<double>(incarnation));
-  }
   if (algorithmic && count && algorithmic_placements_ != nullptr) {
     algorithmic_placements_->add();
-    proc_->sim().obs().emit(obs::EventKind::kRestripe, cfg_.member,
+    proc_->sim().obs().emit(obs::EventKind::kPlacement, cfg_.member,
                             service + ":" + host,
                             static_cast<double>(incarnation));
   }

@@ -58,12 +58,6 @@ struct RecoveryManagerConfig {
   /// first-in-view. False (default) preserves the solo manager's exact
   /// event schedule.
   bool self_supervise = false;
-  /// Publish read-set updates as kReadSetDelta frames (difference vs the
-  /// previous version) instead of the full set. Republishes for late
-  /// subscribers and failover repeats always go out in full, which is also
-  /// how a subscriber that missed a delta heals. Default off: the full-set
-  /// wire traffic is part of the seed-identical reference behavior.
-  bool delta_read_sets = false;
   /// Let a partition-retired replica rejoin as a converged backup via a
   /// state-transfer handshake (snapshot from the acting replica at the
   /// request's position in the total order + buffered-suffix replay)
@@ -78,7 +72,7 @@ class RecoveryManager {
   /// `incarnation` is unique and increasing *within its group*. The factory
   /// builds the whole replica process. `host` is empty under kCycle (the
   /// application applies its own per-group placement) and names the chosen
-  /// host under kRestripe. Returns false if the replica could not be
+  /// host under kAlgorithmic. Returns false if the replica could not be
   /// spawned, releasing the launch slot. Under self-supervision a failover
   /// may re-drive a slot the dead manager already filled, so the factory
   /// MUST be idempotent per incarnation (return true without spawning).
@@ -145,8 +139,6 @@ class RecoveryManager {
     obs::Counter* launches = nullptr;
     obs::Counter* proactive_launches = nullptr;
     obs::Counter* reactive_launches = nullptr;
-    obs::Counter* restripe_placements = nullptr;
-    obs::Counter* restripe_skipped = nullptr;
     obs::Counter* readset_updates = nullptr;
     /// Resolved only for groups with a MigrationSpec (null otherwise).
     obs::Counter* migrations = nullptr;
@@ -158,7 +150,7 @@ class RecoveryManager {
   /// the decision (core-side RmStats stay authoritative either way).
   void execute(const std::vector<RmAction>& actions, bool count);
   sim::Task<void> launch_task(std::string service, int incarnation,
-                              std::string host, bool proactive, bool restriped,
+                              std::string host, bool proactive,
                               bool algorithmic, bool count);
   sim::Task<void> multicast_task(std::string group_name, Bytes payload);
   void on_crash_observed(const std::string& host);
@@ -172,8 +164,6 @@ class RecoveryManager {
   obs::Counter& launches_;
   obs::Counter& proactive_launches_;
   obs::Counter& reactive_launches_;
-  obs::Counter& restripe_placements_;
-  obs::Counter& restripe_skipped_;
   obs::Counter& readset_updates_;
   obs::Counter& rm_failovers_;
   // kAlgorithmic counters, resolved only when a supervised target uses
@@ -181,6 +171,7 @@ class RecoveryManager {
   // registry untouched.
   obs::Counter* placement_frames_ = nullptr;    // rm.placement.frames
   obs::Counter* algorithmic_placements_ = nullptr;  // rm.algorithmic.placements
+  obs::Counter* placement_skipped_ = nullptr;   // rm.placement.skipped
   obs::Counter* rebalance_moves_ = nullptr;     // rm.rebalance.moves
   // Resolved only when a supervised target enables migration.
   obs::Counter* migrations_ = nullptr;          // rm.migrations

@@ -262,22 +262,6 @@ void RmCore::apply_event(const gc::Event& event, Actions& out) {
     }
     return;
   }
-  if (ctrl->kind == CtrlKind::kReadSetNack && ctrl->read_set_nack) {
-    // A subscriber saw a delta whose base it does not hold (a dropped
-    // frame, e.g. under a partition): answer with the full current set.
-    auto rs = by_readset_group_.find(event.group);
-    if (rs != by_readset_group_.end() && rs->second->read_set.version > 0) {
-      RmAction a;
-      a.kind = RmAction::Kind::kPublishReadSet;
-      a.service = rs->second->target.service;
-      a.group = event.group;
-      a.read_set = rs->second->read_set;
-      a.republish = true;
-      a.nack = true;
-      out.push_back(std::move(a));
-    }
-    return;
-  }
   if (ctrl->kind == CtrlKind::kCkptRequest && ctrl->ckpt_request) {
     // A directed restore opening on a stateful group's ckpt channel: the
     // member is mid-restore until it announces (or leaves the view).
@@ -456,26 +440,16 @@ void RmCore::reconcile(Group& group, bool proactive_trigger, Actions& out) {
     a.service = group.target.service;
     a.incarnation = incarnation;
     a.proactive = proactive_trigger;
-    if (group.target.placement == PlacementPolicy::kRestripe) {
-      auto choice = choose_host(group, incarnation);
-      if (!choice) {
-        // No known-alive, unoccupied host right now. Abandon the slot —
-        // the next membership change (or node-crash frame) reconciles
-        // again, by which point a host may have freed up. The incarnation
-        // number is burned; gaps are fine, monotonicity is what matters.
-        a.kind = RmAction::Kind::kLaunchSkipped;
-        out.push_back(std::move(a));
-        break;
-      }
-      a.host = std::move(*choice);
-      a.restriped = true;
-      group.reserved.insert(a.host);
-    } else if (group.target.placement == PlacementPolicy::kAlgorithmic) {
+    if (group.target.placement == PlacementPolicy::kAlgorithmic) {
       // Pure function of (service, incarnation, alive set, occupancy):
       // every replica computes this same host locally — no placement
       // frame travels for it.
       auto choice = algorithmic_choice(group, incarnation);
       if (!choice) {
+        // No alive, unoccupied host right now. Abandon the slot — the
+        // next membership change (or node-crash frame) reconciles again,
+        // by which point a host may have freed up. The incarnation number
+        // is burned; gaps are fine, monotonicity is what matters.
         a.kind = RmAction::Kind::kLaunchSkipped;
         out.push_back(std::move(a));
         break;
@@ -484,8 +458,8 @@ void RmCore::reconcile(Group& group, bool proactive_trigger, Actions& out) {
       a.algorithmic = true;
       group.reserved.insert(a.host);
     }
-    group.pending.push_back(Slot{incarnation, a.host, proactive_trigger,
-                                 a.restriped, a.algorithmic});
+    group.pending.push_back(
+        Slot{incarnation, a.host, proactive_trigger, a.algorithmic});
     out.push_back(std::move(a));
     ++effective;
   }
@@ -529,26 +503,6 @@ void RmCore::refresh_read_set(Group& group, Actions& out) {
   a.kind = RmAction::Kind::kPublishReadSet;
   a.service = group.target.service;
   a.group = read_set_group(group.target.service);
-  // Difference vs the outgoing set, for shells that publish deltas:
-  // entries no longer present (or changed) removed by name, new or changed
-  // entries added in full — subscribers apply removals before adds. The
-  // first publication (base 0, nothing removed) also travels as a valid
-  // delta: subscribers start from an empty set at version 0.
-  a.read_set_delta.base_version = group.read_set.version;
-  a.read_set_delta.version = next.version;
-  a.read_set_delta.primary = next.primary;
-  for (const auto& old : group.read_set.entries) {
-    const bool kept = std::any_of(next.entries.begin(), next.entries.end(),
-                                  [&](const Announce& e) { return e == old; });
-    if (!kept) a.read_set_delta.removed.push_back(old.member);
-  }
-  for (const auto& e : next.entries) {
-    const bool had = std::any_of(
-        group.read_set.entries.begin(), group.read_set.entries.end(),
-        [&](const Announce& o) { return o == e; });
-    if (!had) a.read_set_delta.added.push_back(e);
-  }
-  a.have_delta = true;
   group.read_set = std::move(next);
   a.read_set = group.read_set;
   out.push_back(std::move(a));
@@ -632,7 +586,6 @@ bool read_string_set(giop::CdrReader& r, std::set<std::string>& out) {
 
 Bytes RmCore::encode_snapshot() const {
   giop::CdrWriter w;
-  write_string_set(w, dead_hosts_);
   w.write_u64(alive_epoch_);
   w.write_u32(static_cast<std::uint32_t>(alive_hosts_.size()));
   for (const auto& h : alive_hosts_) w.write_string(h);
@@ -649,7 +602,6 @@ Bytes RmCore::encode_snapshot() const {
       w.write_i32(slot.incarnation);
       w.write_string(slot.host);
       w.write_bool(slot.proactive);
-      w.write_bool(slot.restriped);
       w.write_bool(slot.algorithmic);
     }
     w.write_i32(g->next_incarnation);
@@ -688,8 +640,6 @@ Bytes RmCore::encode_snapshot() const {
 
 bool RmCore::install_snapshot(const Bytes& snapshot) {
   giop::CdrReader r(snapshot, giop::ByteOrder::kLittleEndian);
-  std::set<std::string> dead_hosts;
-  if (!read_string_set(r, dead_hosts)) return false;
   auto alive_epoch = r.read_u64();
   if (!alive_epoch) return false;
   auto alive_count = r.read_u32();
@@ -733,11 +683,9 @@ bool RmCore::install_snapshot(const Bytes& snapshot) {
       if (!host) return false;
       slot.host = std::move(*host);
       auto proactive = r.read_bool();
-      auto restriped = r.read_bool();
       auto algorithmic = r.read_bool();
-      if (!proactive || !restriped || !algorithmic) return false;
+      if (!proactive || !algorithmic) return false;
       slot.proactive = *proactive;
-      slot.restriped = *restriped;
       slot.algorithmic = *algorithmic;
       s->pending.push_back(std::move(slot));
     }
@@ -812,7 +760,6 @@ bool RmCore::install_snapshot(const Bytes& snapshot) {
     s->handoff_sent = *handoff_sent;
     scratch.push_back(std::move(s));
   }
-  dead_hosts_ = std::move(dead_hosts);
   alive_epoch_ = *alive_epoch;
   alive_hosts_ = std::move(alive_hosts);
   totals_ = totals;
@@ -841,8 +788,9 @@ RmCore::Actions RmCore::on_node_crash(const std::string& host) {
 }
 
 void RmCore::apply_node_crash(const std::string& host, Actions& out) {
-  const bool fresh = dead_hosts_.insert(host).second;
-  if (any_algorithmic_ && fresh) {
+  // Idempotent: a repeated crash frame finds the host already gone from
+  // the alive universe and holding no reservation.
+  if (any_algorithmic_) {
     auto it = std::find(alive_hosts_.begin(), alive_hosts_.end(), host);
     if (it != alive_hosts_.end()) {
       alive_hosts_.erase(it);
@@ -878,7 +826,6 @@ void RmCore::publish_alive_epoch(Actions& out) {
 }
 
 void RmCore::apply_node_join(const std::string& host, Actions& out) {
-  dead_hosts_.erase(host);
   if (!any_algorithmic_) return;
   if (std::binary_search(alive_hosts_.begin(), alive_hosts_.end(), host)) {
     return;  // duplicate join frame
@@ -928,8 +875,8 @@ void RmCore::apply_node_join(const std::string& host, Actions& out) {
     ++g->stats.proactive_launches;
     g->doomed.insert(victim);
     g->reserved.insert(host);
-    g->pending.push_back(Slot{incarnation, host, /*proactive=*/true,
-                              /*restriped=*/false, /*algorithmic=*/true});
+    g->pending.push_back(
+        Slot{incarnation, host, /*proactive=*/true, /*algorithmic=*/true});
     RmAction launch;
     launch.service = service;
     launch.incarnation = incarnation;
@@ -988,7 +935,6 @@ RmCore::Actions RmCore::resume_actions() const {
       a.incarnation = slot.incarnation;
       a.host = slot.host;
       a.proactive = slot.proactive;
-      a.restriped = slot.restriped;
       a.algorithmic = slot.algorithmic;
       out.push_back(std::move(a));
     }
@@ -1043,35 +989,6 @@ std::optional<std::string> RmCore::placement_choice(
     return std::nullopt;
   }
   return algorithmic_choice(*g, g->next_incarnation);
-}
-
-std::optional<std::string> RmCore::choose_host(const Group& group,
-                                               int incarnation) const {
-  std::vector<std::string> candidates = group.target.hosts;
-  for (const auto& h : group.target.spares) {
-    if (std::find(candidates.begin(), candidates.end(), h) ==
-        candidates.end()) {
-      candidates.push_back(h);
-    }
-  }
-  if (candidates.empty()) return std::nullopt;
-  // Occupied = hosts of announced live members, plus in-flight reservations.
-  std::set<std::string> occupied = group.reserved;
-  for (const auto& m : group.registry.view().members) {
-    if (is_rm_member(m)) continue;
-    if (auto rec = group.registry.find(m)) occupied.insert(rec->endpoint.host);
-  }
-  // Start where the cycle would have placed this incarnation, so restripe
-  // degenerates to the cycle whenever every host is alive and free.
-  const auto start =
-      static_cast<std::size_t>(incarnation - 1) % candidates.size();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& h = candidates[(start + i) % candidates.size()];
-    if (dead_hosts_.contains(h)) continue;
-    if (occupied.contains(h)) continue;
-    return h;
-  }
-  return std::nullopt;
 }
 
 }  // namespace mead::core

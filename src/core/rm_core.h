@@ -53,18 +53,14 @@ struct GroupTarget {
   ReplicationStyle style = ReplicationStyle::kWarmPassive;
 
   /// kCycle leaves host choice to the application's own per-group cycle
-  /// (factory receives an empty host — the pre-placement behaviour, and
-  /// the default). kRestripe picks the first known-alive, unoccupied host
-  /// from `hosts` (then `spares`), scanning from the cycle's starting
-  /// point, so replacements route around crashed workers. kAlgorithmic
-  /// derives the host purely from (service, incarnation, sorted alive
-  /// set) via core/placement.h — every RmCore replica computes the same
-  /// answer locally, so the RM publishes only the alive-set epoch.
+  /// (factory receives an empty host — the paper's static placement, and
+  /// the default). kAlgorithmic derives the host purely from (service,
+  /// incarnation, sorted alive set) via core/placement.h, so replacements
+  /// route around crashed workers and every RmCore replica computes the
+  /// same answer locally: the RM publishes only the alive-set epoch.
   PlacementPolicy placement = PlacementPolicy::kCycle;
-  /// The group's preferred placement set (required for kRestripe; under
-  /// kAlgorithmic hosts+spares seed the shared alive universe).
+  /// kAlgorithmic only: hosts+spares seed the shared alive universe.
   std::vector<std::string> hosts;
-  /// Extra hosts kRestripe may spill onto once `hosts` has no candidate.
   std::vector<std::string> spares;
 
   /// True for groups whose replicas checkpoint application state
@@ -129,7 +125,7 @@ struct RmAction {
     /// Sleep launch_delay, then run the replica factory for `service` /
     /// `incarnation` on `host` (empty host: the application's own cycle).
     kLaunch,
-    /// kRestripe found no live, unoccupied host: the slot was abandoned
+    /// kAlgorithmic found no live, unoccupied host: the slot was abandoned
     /// and the incarnation burned (counters only; retried on the next
     /// membership change).
     kLaunchSkipped,
@@ -169,7 +165,6 @@ struct RmAction {
   int incarnation = 0;
   std::string host;
   bool proactive = false;
-  bool restriped = false;
   /// Host was computed algorithmically (core/placement.h) — no explicit
   /// placement traffic behind it, counters only.
   bool algorithmic = false;
@@ -177,15 +172,6 @@ struct RmAction {
   std::string group;
   ReadSet read_set;
   bool republish = false;
-  /// Difference vs the previously published version; meaningful only when
-  /// `have_delta` (version-bumping updates with a known base). The shell
-  /// may multicast this instead of the full set when configured for
-  /// delta-encoded publication.
-  ReadSetDelta read_set_delta;
-  bool have_delta = false;
-  /// kPublishReadSet: this republish answers a subscriber's kReadSetNack
-  /// (delta gap) rather than a membership event.
-  bool nack = false;
   // kRequestReadmit / kSendRmSnapshot
   std::uint64_t nonce = 0;
   Bytes snapshot;
@@ -293,7 +279,6 @@ class RmCore {
     int incarnation = 0;
     std::string host;  // empty under kCycle
     bool proactive = false;
-    bool restriped = false;
     bool algorithmic = false;
   };
 
@@ -305,7 +290,7 @@ class RmCore {
     std::vector<Slot> pending;     // launched but not yet joined
     int next_incarnation = 1;
     RmStats stats;
-    /// Hosts with a restripe launch in flight (reserved at decision time,
+    /// Hosts with a placed launch in flight (reserved at decision time,
     /// released when the replica announces or the launch dies), so burst
     /// relaunches of one group never stack onto a single worker.
     std::set<std::string> reserved;
@@ -354,11 +339,6 @@ class RmCore {
   void apply_node_join(const std::string& host, Actions& out);
   void apply_launch_failed(const std::string& service, int incarnation,
                            Actions& out);
-  /// kRestripe host choice at decision time; nullopt when no known-alive,
-  /// unoccupied host exists (the slot is then abandoned until membership
-  /// changes again).
-  [[nodiscard]] std::optional<std::string> choose_host(const Group& group,
-                                                       int incarnation) const;
   /// kAlgorithmic host choice: placement::choose over the shared alive
   /// universe, excluding hosts the group already occupies or reserves.
   [[nodiscard]] std::optional<std::string> algorithmic_choice(
@@ -392,14 +372,11 @@ class RmCore {
   std::uint64_t readmit_seq_ = 0;       // nonce generator
   std::uint64_t readmissions_ = 0;
   gc::View rm_view_;
-  /// Hosts known dead from replicated (or solo-direct) crash observations.
-  /// The core deliberately never asks the network, so replicas that saw
-  /// the same frames agree on placement.
-  std::set<std::string> dead_hosts_;
   /// kAlgorithmic placement universe: the sorted union of hosts+spares
   /// over algorithmic targets, minus observed crashes, plus observed
   /// joins. Mutated only at ordered kNodeCrash/kNodeJoin positions (or
-  /// their solo-direct equivalents), so every replica agrees.
+  /// their solo-direct equivalents), so every replica agrees. The core
+  /// deliberately never asks the network about liveness.
   std::vector<std::string> alive_hosts_;
   std::uint64_t alive_epoch_ = 0;
   bool any_algorithmic_ = false;

@@ -166,7 +166,6 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
     case CtrlKind::kPrimaryAnswer:
       break;  // only clients consume answers
     case CtrlKind::kReadSet:
-    case CtrlKind::kReadSetDelta:
       break;  // published by the RM for routing clients, not replicas
     case CtrlKind::kNodeCrash:
     case CtrlKind::kLaunchFailed:
@@ -245,8 +244,6 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
         }
       }
       break;
-    case CtrlKind::kReadSetNack:
-      break;  // the Recovery Manager answers read-set gap reports
     case CtrlKind::kUsageReport:
       break;  // the RM's migration planner consumes these
     case CtrlKind::kQuorumSet:

@@ -239,9 +239,9 @@ class Network {
   /// True while `host` exists and has not been taken down by crash_node().
   [[nodiscard]] bool node_alive(const std::string& host) const;
 
-  /// Whole-node-crash notifications (e.g. the Recovery Manager's restripe
-  /// placement tracks dead workers through these). Observers run after the
-  /// node's processes are killed. Returns a handle for remove.
+  /// Whole-node-crash notifications (e.g. the Recovery Manager releases
+  /// launch slots reserved on dead workers through these). Observers run
+  /// after the node's processes are killed. Returns a handle for remove.
   using NodeCrashObserver = std::function<void(const std::string& host)>;
   std::uint64_t add_crash_observer(NodeCrashObserver fn);
   void remove_crash_observer(std::uint64_t handle);

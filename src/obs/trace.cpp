@@ -27,7 +27,7 @@ std::string_view to_string(EventKind k) {
     case EventKind::kWorldUp: return "world_up";
     case EventKind::kFaultInjected: return "fault_injected";
     case EventKind::kDaemonRejoin: return "daemon_rejoin";
-    case EventKind::kRestripe: return "restripe";
+    case EventKind::kPlacement: return "placement";
     case EventKind::kReadSetUpdate: return "read_set_update";
     case EventKind::kRouteSwitch: return "route_switch";
     case EventKind::kRmFailover: return "rm_failover";

@@ -38,7 +38,7 @@ enum class EventKind : std::uint8_t {
   kWorldUp,            // testbed bring-up finished
   kFaultInjected,      // chaos controller executed a scheduled fault
   kDaemonRejoin,       // expelled GC daemon resynced state after a heal
-  kRestripe,           // Recovery Manager placed a replica off-cycle
+  kPlacement,          // Recovery Manager placed a replica algorithmically
   kReadSetUpdate,      // Recovery Manager republished a fanout read set
   kRouteSwitch,        // routing client re-pointed its stub at a replica
   kRmFailover,         // a backup Recovery Manager became first-in-view

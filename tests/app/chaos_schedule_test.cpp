@@ -12,8 +12,9 @@
 namespace mead::app {
 namespace {
 
-/// Six nodes (four workers), two 3-replica restripe groups sharing node2
-/// and node3 — a node crash there hits both groups at once.
+/// Six nodes (four workers), two 3-replica algorithmic-placement groups:
+/// each occupies three of the four workers, so at least two workers host a
+/// replica of both — a node crash there hits both groups at once.
 ExperimentSpec colocated_spec() {
   ExperimentSpec spec;
   spec.seed = 2004;
@@ -21,21 +22,36 @@ ExperimentSpec colocated_spec() {
   spec.topology = ClusterTopology::uniform(6);
   ServiceGroupSpec a;  // the default TimeOfDay group
   a.inject_leak = false;
-  a.hosts = {"node1", "node2", "node3"};
-  a.placement = core::PlacementPolicy::kRestripe;
-  ServiceGroupSpec b;
+  a.placement = core::PlacementPolicy::kAlgorithmic;
+  ServiceGroupSpec b = a;
   b.service = "Beta";
-  b.inject_leak = false;
-  b.hosts = {"node2", "node3", "node4"};
-  b.placement = core::PlacementPolicy::kRestripe;
   spec.groups = {a, b};
   return spec;
+}
+
+/// The hosts bring-up placed each group's replicas on, read from a probe
+/// run of `spec`. The chaos schedule is armed only after bring-up, so the
+/// probe places exactly as the real run will.
+std::vector<std::set<std::string>> initial_hosts(const ExperimentSpec& spec) {
+  Experiment probe(spec);
+  std::vector<std::set<std::string>> out;
+  if (!probe.start()) return out;
+  for (const auto& g : probe.testbed().groups()) {
+    std::set<std::string>& hosts = out.emplace_back();
+    for (const auto& rep : g->replicas()) hosts.insert(rep->endpoint().host);
+  }
+  return out;
+}
+
+/// Algorithmic placements the acting RM made (bootstrap included).
+std::uint64_t placements(Experiment& exp) {
+  return exp.obs().metrics().counter_value("rm.algorithmic.placements");
 }
 
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream os;
   os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes << '|'
-     << r.chaos_faults << '|' << r.restripes;
+     << r.chaos_faults;
   for (const auto& g : r.group_results) {
     os << ';' << g.service << ':' << g.server_failures << ',' << g.launches
        << ',' << g.proactive_launches << ',' << g.reactive_launches << ','
@@ -47,11 +63,22 @@ std::string fingerprint(const ExperimentResult& r) {
 
 TEST(ChaosScheduleTest, CoLocatedGroupsEachRecoverOnce) {
   ExperimentSpec spec = colocated_spec();
-  // node2 hosts one replica of each group (plus a GC daemon): one node
+  // A worker hosting one replica of each group (plus a GC daemon): one node
   // crash, two independent recoveries — exactly one per group.
-  spec.chaos.crash_node(milliseconds(200), "node2");
+  const auto hosts = initial_hosts(spec);
+  ASSERT_EQ(hosts.size(), 2u);
+  std::string shared;
+  for (const auto& h : hosts[0]) {
+    if (hosts[1].contains(h)) {
+      shared = h;
+      break;
+    }
+  }
+  ASSERT_FALSE(shared.empty());
+  spec.chaos.crash_node(milliseconds(200), shared);
   Experiment exp(spec);
   ASSERT_TRUE(exp.start());
+  const std::uint64_t placed0 = placements(exp);
   exp.launch_client();
   exp.run_to_completion();
   // Let the relaunched replicas announce + register before checking degree.
@@ -65,50 +92,63 @@ TEST(ChaosScheduleTest, CoLocatedGroupsEachRecoverOnce) {
     EXPECT_EQ(g.server_failures, 1u) << g.service;
     EXPECT_EQ(g.invocations_completed, 600u) << g.service;
   }
-  EXPECT_EQ(r.restripes, 2u);  // one restriped replacement per group
-  EXPECT_FALSE(exp.testbed().net().node_alive("node2"));
+  EXPECT_EQ(placements(exp) - placed0, 2u);  // one replacement per group
+  EXPECT_FALSE(exp.testbed().net().node_alive(shared));
   for (const auto& g : exp.testbed().groups()) {
     EXPECT_EQ(g->live_replica_count(), 3u) << g->service();
     for (const auto& rep : g->replicas()) {
       if (rep->alive()) {
-        EXPECT_NE(rep->endpoint().host, "node2");
+        EXPECT_NE(rep->endpoint().host, shared);
       }
     }
   }
 }
 
-TEST(ChaosScheduleTest, RestripeNeverPlacesOnDeadNode) {
+TEST(ChaosScheduleTest, AlgorithmicNeverPlacesOnDeadNode) {
   ExperimentSpec spec;
   spec.seed = 2004;
   spec.invocations = 800;
   spec.topology = ClusterTopology::uniform(10);  // eight workers
   for (int i = 0; i < 2; ++i) {
-    ServiceGroupSpec g;  // striped hosts: node1-3, then node4-6
+    ServiceGroupSpec g;
     if (i > 0) g.service = "Svc1";
     g.inject_leak = false;
-    g.placement = core::PlacementPolicy::kRestripe;
+    g.placement = core::PlacementPolicy::kAlgorithmic;
     spec.groups.push_back(std::move(g));
   }
-  // node1 carries the sequencer daemon AND a replica; node5 a replica of
-  // the second group. Both replacements must route around the dead hosts.
-  spec.chaos.crash_node(milliseconds(150), "node1");
-  spec.chaos.crash_node(milliseconds(300), "node5");
+  // Two crashes, each taking a replica of exactly one group. Both
+  // replacements must route around the dead hosts.
+  const auto hosts = initial_hosts(spec);
+  ASSERT_EQ(hosts.size(), 2u);
+  std::string victims[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (const auto& h : hosts[i]) {
+      if (!hosts[1 - i].contains(h)) {
+        victims[i] = h;
+        break;
+      }
+    }
+    ASSERT_FALSE(victims[i].empty()) << i;
+  }
+  spec.chaos.crash_node(milliseconds(150), victims[0]);
+  spec.chaos.crash_node(milliseconds(300), victims[1]);
   Experiment exp(spec);
   ASSERT_TRUE(exp.start());
+  const std::uint64_t placed0 = placements(exp);
   exp.launch_client();
   exp.run_to_completion();
   exp.sim().run_for(milliseconds(500));
   const ExperimentResult r = exp.collect();
 
   EXPECT_EQ(r.chaos_faults, 2u);
-  EXPECT_EQ(r.restripes, 2u);
+  EXPECT_EQ(placements(exp) - placed0, 2u);
   for (const auto& g : r.group_results) {
     EXPECT_EQ(g.reactive_launches, 1u) << g.service;
     EXPECT_EQ(g.invocations_completed, 800u) << g.service;
   }
   const net::Network& net = exp.testbed().net();
-  EXPECT_FALSE(net.node_alive("node1"));
-  EXPECT_FALSE(net.node_alive("node5"));
+  EXPECT_FALSE(net.node_alive(victims[0]));
+  EXPECT_FALSE(net.node_alive(victims[1]));
   for (const auto& g : exp.testbed().groups()) {
     EXPECT_EQ(g->live_replica_count(), 3u) << g->service();
     std::set<std::string> hosts;  // one live replica per host per group

@@ -47,11 +47,6 @@ ExperimentSpec soak_spec(std::uint64_t seed) {
   spec.invoke_timeout = milliseconds(25);  // partitions never deliver EOF
   spec.calib.gc_heartbeat = milliseconds(50);
   spec.topology = ClusterTopology::uniform(12);  // ten workers
-  // Every third seed swaps the explicit restripe placement for the
-  // algorithmic policy (jump-hash over the shared alive universe), so the
-  // soak also covers epoch publication and the cross-replica agreement
-  // invariant checked in the test body.
-  const bool algorithmic_seed = (seed % 3 == 0);
   // Every third seed (offset so it interleaves with the scaled-plane
   // stripe) runs the odd-indexed groups as leaderless kQuorum groups, with
   // the clients routing reads round-robin over the published quorum sets.
@@ -62,8 +57,10 @@ ExperimentSpec soak_spec(std::uint64_t seed) {
     if (g > 0) s.service = "Svc" + std::to_string(g);
     s.replica_count = 2;
     s.inject_leak = (g % 2 == 0);
-    s.placement = algorithmic_seed ? core::PlacementPolicy::kAlgorithmic
-                                   : core::PlacementPolicy::kRestripe;
+    // Algorithmic placement (jump-hash over the shared alive universe):
+    // every seed also covers epoch publication and the cross-replica
+    // agreement invariant checked in the test body.
+    s.placement = core::PlacementPolicy::kAlgorithmic;
     // Every group is stateful, so each crash/partition/relaunch the
     // schedule throws also exercises the checkpoint + replay pipeline and
     // the digest invariant below can catch any corruption it introduces.
@@ -142,7 +139,7 @@ ExperimentSpec soak_spec(std::uint64_t seed) {
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream os;
   os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes << '|'
-     << r.chaos_faults << '|' << r.restripes << '|' << r.rm_failovers;
+     << r.chaos_faults << '|' << r.rm_failovers;
   for (const auto& g : r.group_results) {
     os << ';' << g.service << ':' << g.server_failures << ',' << g.launches
        << ',' << g.proactive_launches << ',' << g.reactive_launches << ','
@@ -246,27 +243,24 @@ TEST(ChaosSoakTest, RandomSchedulesHoldInvariants) {
     if (victim_was_acting) {
       EXPECT_GE(r.rm_failovers, 1u) << "acting RM crashed but no backup promoted";
     }
-    if (spec.groups.front().placement ==
-        core::PlacementPolicy::kAlgorithmic) {
-      // Cross-replica agreement: every live, non-retired manager fed the
-      // same ordered stream computes the identical alive epoch and the
-      // identical next-incarnation placement for every group — the
-      // property that lets the RM publish only an epoch per failure.
-      const core::RecoveryManager* ref = nullptr;
-      for (std::size_t i = 0; i < bed.rm_count(); ++i) {
-        const core::RecoveryManager& rm = bed.rm(i);
-        if (!rm.alive() || rm.retired()) continue;
-        if (ref == nullptr) {
-          ref = &rm;
-          continue;
-        }
-        EXPECT_EQ(rm.alive_epoch(), ref->alive_epoch())
-            << "RM " << i << " diverged from " << ref->member();
-        for (const auto& gs : spec.groups) {
-          EXPECT_EQ(rm.placement_choice(gs.service),
-                    ref->placement_choice(gs.service))
-              << gs.service << " (RM " << i << ")";
-        }
+    // Cross-replica agreement: every live, non-retired manager fed the
+    // same ordered stream computes the identical alive epoch and the
+    // identical next-incarnation placement for every group — the property
+    // that lets the RM publish only an epoch per failure.
+    const core::RecoveryManager* ref = nullptr;
+    for (std::size_t i = 0; i < bed.rm_count(); ++i) {
+      const core::RecoveryManager& rm = bed.rm(i);
+      if (!rm.alive() || rm.retired()) continue;
+      if (ref == nullptr) {
+        ref = &rm;
+        continue;
+      }
+      EXPECT_EQ(rm.alive_epoch(), ref->alive_epoch())
+          << "RM " << i << " diverged from " << ref->member();
+      for (const auto& gs : spec.groups) {
+        EXPECT_EQ(rm.placement_choice(gs.service),
+                  ref->placement_choice(gs.service))
+            << gs.service << " (RM " << i << ")";
       }
     }
   }

@@ -91,13 +91,24 @@ TEST(QuorumTest, ReplicaCrashMidCatchUpStillConverges) {
   // must drop it from the restoring set with the view change, re-place the
   // slot, and converge back to a fully caught-up group.
   ExperimentSpec spec = quorum_spec(1'500);
-  spec.groups[0].placement = core::PlacementPolicy::kRestripe;
+  spec.groups[0].placement = core::PlacementPolicy::kAlgorithmic;
   spec.groups[0].state.keys = 256;
   spec.groups[0].state.value_pad = 64;
   spec.chaos.crash_process(milliseconds(200), kServiceName);
-  // The relaunched incarnation lands on the crashed primary's host (first
-  // alive unoccupied under restripe); crash that node inside the restore.
-  spec.chaos.crash_node(milliseconds(215), "node1");
+  // Every worker holds a replica, so the RM has no free host to offer
+  // (placement_choice is empty) and the relaunch can only land on the host
+  // the crashed first replica frees; crash that node inside the restore.
+  std::string rejoiner_host;
+  {
+    Experiment probe(spec);
+    ASSERT_TRUE(probe.start());
+    Testbed& bed = probe.testbed();
+    EXPECT_FALSE(bed.acting_rm().placement_choice(kServiceName).has_value());
+    const ServiceGroup* sg = bed.group(kServiceName);
+    ASSERT_NE(sg, nullptr);
+    rejoiner_host = sg->replicas().front()->endpoint().host;
+  }
+  spec.chaos.crash_node(milliseconds(215), rejoiner_host);
   Experiment exp(spec);
   ASSERT_TRUE(exp.start());
   exp.launch_client();
@@ -115,9 +126,14 @@ TEST(QuorumTest, ReplicaCrashMidCatchUpStillConverges) {
   ASSERT_NE(sg, nullptr);
   EXPECT_GE(sg->live_replica_count(), 2u);
   std::set<std::string> members;
+  bool rejoiner_died = false;
   for (const auto& rep : sg->replicas()) {
     EXPECT_TRUE(members.insert(rep->member()).second) << rep->member();
+    if (rep->endpoint().host == rejoiner_host && !rep->alive()) {
+      rejoiner_died = true;
+    }
   }
+  EXPECT_TRUE(rejoiner_died) << rejoiner_host;
   const auto view = exp.testbed().acting_rm().view(kServiceName);
   ASSERT_TRUE(view.has_value());
   // The dead rejoiner is not stuck in the restoring set forever.

@@ -144,60 +144,19 @@ TEST(RoutingTest, ReadFanoutSurvivesReadReplicaCrash) {
   EXPECT_GE(r.server_failures, 1u);
 }
 
-TEST(RoutingTest, DeltaReadSetsMatchFullPublicationBehavior) {
-  // The same fanout workload — including a read-replica crash that churns
-  // the serving set — must look identical to every client whether the RM
-  // publishes read sets in full or delta-encoded, and the delta run must
-  // actually have sent deltas.
-  auto spec_for = [](bool deltas) {
-    ExperimentSpec spec = fanout_spec(3, orb::RoutingPolicy::kRoundRobin);
-    spec.invocations = 600;
-    spec.chaos.crash_node(milliseconds(200), "node2");
-    spec.rm.delta_read_sets = deltas;
-    return spec;
-  };
-  Experiment full(spec_for(false));
-  ASSERT_TRUE(full.start());
-  full.launch_client();
-  full.run_to_completion();
-  Experiment delta(spec_for(true));
-  ASSERT_TRUE(delta.start());
-  delta.launch_client();
-  delta.run_to_completion();
-
-  // Client-visible rollups only: the wire encoding differs (that is the
-  // point), so byte/event totals are allowed to diverge.
-  auto client_view = [](const ExperimentResult& r) {
-    std::ostringstream os;
-    for (const auto& c : r.client_results) {
-      os << c.label << ':' << c.invocations_completed << ',' << c.exceptions
-         << ',' << c.naming_refreshes << ';';
-    }
-    return os.str();
-  };
-  EXPECT_EQ(client_view(full.collect()), client_view(delta.collect()));
-  EXPECT_EQ(full.obs().metrics().counter_value("rm.readset.deltas"), 0u);
-  EXPECT_GT(delta.obs().metrics().counter_value("rm.readset.deltas"), 0u);
-  // Every delta the RM sent applied cleanly: a gapped subscriber would
-  // stall on the old set and show up as missing route switches above.
-  const ExperimentResult dr = delta.collect();
-  EXPECT_EQ(dr.total_invocations(), 3 * 600u);
-}
-
-TEST(RoutingTest, DroppedDeltaGapTriggersNackAndFullRepublish) {
+TEST(RoutingTest, MissedReadSetHealsAtNextFullPublication) {
   // Isolate the client host for a window SHORTER than the GC dead interval
   // (3 heartbeats = 1.5 s): no daemon is expelled, so no membership change
-  // ever republishes the full set on the subscriber's behalf — the delta
-  // the RM publishes for the mid-window read-replica crash is simply lost.
-  // The first delta that reaches the healed subscriber chains past the
-  // hole; it must detect the gap, nack, and resynchronize from the RM's
-  // full republication rather than wait for an unbounded-later view change.
+  // republishes the set on the subscriber's behalf — the update the RM
+  // publishes for the mid-window read-replica crash is simply lost. Every
+  // publication carries the full set, so the first one that reaches the
+  // healed subscriber (the post-heal churn) must bring it level with the
+  // RM without any repair round trip.
   ExperimentSpec spec = fanout_spec(1, orb::RoutingPolicy::kRoundRobin);
   spec.invocations = 800;
   spec.invoke_timeout = milliseconds(25);  // isolation never delivers EOF
-  spec.rm.delta_read_sets = true;
   spec.chaos.partition(milliseconds(150), "node4");   // the client host
-  spec.chaos.crash_node(milliseconds(200), "node3");  // delta the client misses
+  spec.chaos.crash_node(milliseconds(200), "node3");  // an update it misses
   spec.chaos.heal(milliseconds(400), "node4");
   spec.chaos.crash_process(milliseconds(600), kServiceName);  // post-heal churn
 
@@ -205,22 +164,22 @@ TEST(RoutingTest, DroppedDeltaGapTriggersNackAndFullRepublish) {
   ASSERT_TRUE(exp.start());
   exp.launch_client();
   exp.run_to_completion();
-  exp.sim().run_for(milliseconds(500));  // let the nack round-trip settle
+  exp.sim().run_for(milliseconds(500));  // let the last publication land
   const ExperimentResult r = exp.collect();
 
-  // Deltas flowed, at least one vanished into the partition, the
-  // subscriber nacked the detected hole (once), and the RM answered it
-  // with the full current set.
-  const auto& m = exp.obs().metrics();
-  EXPECT_GT(m.counter_value("rm.readset.deltas"), 0u);
-  EXPECT_GE(m.counter_value("readset.gaps"), 1u);
-  EXPECT_GE(m.counter_value("readset.nacks"), 1u);
-  EXPECT_GE(m.counter_value("rm.readset.nacks"), 1u);
   // Routing resynchronized: the client finished its whole workload across
-  // both crashes and the isolation window.
+  // both crashes and the isolation window...
   ASSERT_EQ(r.client_results.size(), 1u);
   EXPECT_EQ(r.client_results[0].invocations_completed, 800u);
   EXPECT_GE(r.server_failures, 2u);
+  // ...and its subscriber holds the version the acting RM last published.
+  const core::ReadSetSubscriber* sub = exp.client()->read_set();
+  ASSERT_NE(sub, nullptr);
+  const auto view = exp.testbed().acting_rm().view(kServiceName);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_NE(view->read_set, nullptr);
+  EXPECT_GT(view->read_set->version, 0u);
+  EXPECT_EQ(sub->last_version(), view->read_set->version);
 }
 
 TEST(RoutingTest, StickyPinsUntilFailover) {
