@@ -163,12 +163,6 @@ struct StateOptions {
   Duration restore_deadline = milliseconds(40);
   /// Virtual CPU charged per replayed log entry.
   Duration replay_op_cost = microseconds(50);
-  /// Pull-model restore (ISSUE 9): a restoring replica accepts checkpoint
-  /// slices from *every* surviving peer concurrently — peers stripe the
-  /// delta chain by epoch modulo their listing rank — instead of the
-  /// single first-in-view answerer. Out-of-order stripes are buffered and
-  /// drained in epoch order. Default off: byte-identical PR-8 behavior.
-  bool pull_restore = false;
   /// Reply-deduplication cache capacity (ISSUE 10): > 0 keeps the last N
   /// applied request tokens per replica so a request retried across a
   /// failover or handoff is applied exactly once. Replicated alongside

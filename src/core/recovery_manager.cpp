@@ -159,7 +159,7 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
     switch (a.kind) {
       case RmAction::Kind::kLaunch:
         proc_->sim().spawn(launch_task(a.service, a.incarnation, a.host,
-                                       a.proactive, a.algorithmic, count));
+                                       a.proactive, count));
         break;
       case RmAction::Kind::kLaunchSkipped:
         // Only kAlgorithmic placement skips, so the counter is resolved.
@@ -253,8 +253,7 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
 
 sim::Task<void> RecoveryManager::launch_task(std::string service,
                                              int incarnation, std::string host,
-                                             bool proactive, bool algorithmic,
-                                             bool count) {
+                                             bool proactive, bool count) {
   if (count) {
     launches_.add();
     counters_[service].launches->add();
@@ -273,7 +272,8 @@ sim::Task<void> RecoveryManager::launch_task(std::string service,
   // may have been demoted — in either case the launch is no longer ours.
   if (!core_.slot_pending(service, incarnation)) co_return;
   if (!core_.acting()) co_return;
-  if (algorithmic && count && algorithmic_placements_ != nullptr) {
+  // Only kAlgorithmic placement names a host (kCycle leaves it empty).
+  if (!host.empty() && count && algorithmic_placements_ != nullptr) {
     algorithmic_placements_->add();
     proc_->sim().obs().emit(obs::EventKind::kPlacement, cfg_.member,
                             service + ":" + host,

@@ -150,8 +150,7 @@ class RecoveryManager {
   /// the decision (core-side RmStats stay authoritative either way).
   void execute(const std::vector<RmAction>& actions, bool count);
   sim::Task<void> launch_task(std::string service, int incarnation,
-                              std::string host, bool proactive,
-                              bool algorithmic, bool count);
+                              std::string host, bool proactive, bool count);
   sim::Task<void> multicast_task(std::string group_name, Bytes payload);
   void on_crash_observed(const std::string& host);
 

@@ -455,11 +455,9 @@ void RmCore::reconcile(Group& group, bool proactive_trigger, Actions& out) {
         break;
       }
       a.host = std::move(*choice);
-      a.algorithmic = true;
       group.reserved.insert(a.host);
     }
-    group.pending.push_back(
-        Slot{incarnation, a.host, proactive_trigger, a.algorithmic});
+    group.pending.push_back(Slot{incarnation, a.host, proactive_trigger});
     out.push_back(std::move(a));
     ++effective;
   }
@@ -602,7 +600,6 @@ Bytes RmCore::encode_snapshot() const {
       w.write_i32(slot.incarnation);
       w.write_string(slot.host);
       w.write_bool(slot.proactive);
-      w.write_bool(slot.algorithmic);
     }
     w.write_i32(g->next_incarnation);
     w.write_u64(g->stats.launches);
@@ -683,10 +680,8 @@ bool RmCore::install_snapshot(const Bytes& snapshot) {
       if (!host) return false;
       slot.host = std::move(*host);
       auto proactive = r.read_bool();
-      auto algorithmic = r.read_bool();
-      if (!proactive || !algorithmic) return false;
+      if (!proactive) return false;
       slot.proactive = *proactive;
-      slot.algorithmic = *algorithmic;
       s->pending.push_back(std::move(slot));
     }
     auto next_inc = r.read_i32();
@@ -875,14 +870,12 @@ void RmCore::apply_node_join(const std::string& host, Actions& out) {
     ++g->stats.proactive_launches;
     g->doomed.insert(victim);
     g->reserved.insert(host);
-    g->pending.push_back(
-        Slot{incarnation, host, /*proactive=*/true, /*algorithmic=*/true});
+    g->pending.push_back(Slot{incarnation, host, /*proactive=*/true});
     RmAction launch;
     launch.service = service;
     launch.incarnation = incarnation;
     launch.host = host;
     launch.proactive = true;
-    launch.algorithmic = true;
     out.push_back(std::move(launch));
     RmAction retire;
     retire.kind = RmAction::Kind::kRetireReplica;
@@ -935,7 +928,6 @@ RmCore::Actions RmCore::resume_actions() const {
       a.incarnation = slot.incarnation;
       a.host = slot.host;
       a.proactive = slot.proactive;
-      a.algorithmic = slot.algorithmic;
       out.push_back(std::move(a));
     }
     if (!g->migrate_victim.empty() && g->handoff_sent) {

@@ -163,11 +163,9 @@ struct RmAction {
   std::string service;
   // kLaunch / kLaunchSkipped
   int incarnation = 0;
+  /// Computed algorithmically (core/placement.h); empty under kCycle.
   std::string host;
   bool proactive = false;
-  /// Host was computed algorithmically (core/placement.h) — no explicit
-  /// placement traffic behind it, counters only.
-  bool algorithmic = false;
   // kPublishReadSet
   std::string group;
   ReadSet read_set;
@@ -279,7 +277,6 @@ class RmCore {
     int incarnation = 0;
     std::string host;  // empty under kCycle
     bool proactive = false;
-    bool algorithmic = false;
   };
 
   /// Everything the core tracks for one supervised group.

@@ -187,34 +187,11 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
           ctrl->ckpt_request->member == cfg_.member) {
         break;
       }
-      const auto& req = *ctrl->ckpt_request;
-      if (cfg_.state.pull_restore && !registry_.find(req.member)) {
-        // Pull model, and the requester is not announced (a restoring
-        // starter, not a live mirror resyncing): every announced peer
-        // answers the stripe of the chain its listing rank owns, so the
-        // requester pulls from all survivors concurrently.
-        std::size_t rank = 0;
-        std::size_t ranks = 0;
-        bool self_listed = false;
-        for (const auto& rec : registry_.listed()) {
-          if (rec.member == cfg_.member) {
-            self_listed = true;
-            rank = ranks;
-          }
-          ++ranks;
-        }
-        if (self_listed) {
-          ++stats_.pull_answers;
-          proc_->sim().spawn(answer_restore(req.member, req.nonce, rank,
-                                            ranks));
-        }
-        break;
-      }
-      // Historical single-answerer path: only the announced primary
-      // answers — a restoring replica is not yet announced, so never
-      // first.
+      // Only the announced primary answers: a restoring replica is not
+      // yet announced, so never first.
       if (registry_.is_first(cfg_.member)) {
-        proc_->sim().spawn(answer_restore(req.member, req.nonce, 0, 1));
+        proc_->sim().spawn(answer_restore(ctrl->ckpt_request->member,
+                                          ctrl->ckpt_request->nonce));
       }
       break;
     }
@@ -227,18 +204,10 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
       if (app_state_ && ctrl->log_replay->nonce != 0 &&
           ctrl->log_replay->nonce == await_nonce_) {
         if (restoring_) {
-          if (cfg_.state.pull_restore) {
-            // Stripes from other answerers may still be in flight behind
-            // the primary's closing replay: stash it until the delta
-            // chain has caught up to the replay's start.
-            pull_replay_ = *ctrl->log_replay;
-            try_pull_replay();
-          } else {
-            const std::int64_t replayed = state::MessageLog::replay(
-                ctrl->log_replay->entries, ctrl->log_replay->digest,
-                *app_state_);
-            proc_->sim().spawn(finish_replay(replayed));
-          }
+          const std::int64_t replayed = state::MessageLog::replay(
+              ctrl->log_replay->entries, ctrl->log_replay->digest,
+              *app_state_);
+          proc_->sim().spawn(finish_replay(replayed));
         } else {
           await_nonce_ = 0;  // live-mirror resync stream complete
         }
@@ -475,52 +444,10 @@ sim::Task<void> ServerMead::restore_watchdog() {
                  static_cast<double>(app_state_->applied()));
 }
 
-void ServerMead::drain_pull_pending() {
-  // Re-apply buffered stripes smallest-epoch-first: each application may
-  // unblock the next.
-  while (!pull_pending_.empty()) {
-    auto it = pull_pending_.begin();
-    const bool is_base = it->second.is_base;
-    switch (ckpt_store_->apply(std::move(it->second), *app_state_)) {
-      case state::CheckpointStore::Apply::kApplied:
-        ++stats_.ckpt_applied;
-        if (is_base) restore_base_seen_ = true;
-        pull_pending_.erase(it);
-        continue;
-      case state::CheckpointStore::Apply::kStale:
-        pull_pending_.erase(it);
-        continue;
-      case state::CheckpointStore::Apply::kGap:
-        return;  // still missing the predecessor — keep waiting
-      case state::CheckpointStore::Apply::kDigestMismatch:
-        pull_pending_.erase(it);
-        return;
-    }
-  }
-}
-
-void ServerMead::try_pull_replay() {
-  if (!restoring_ || !pull_replay_) return;
-  const LogReplay& lr = *pull_replay_;
-  // The replay is runnable once the installed chain reaches its start:
-  // an empty replay must match `applied` exactly, a non-empty one must
-  // begin at the next op.
-  const bool ready = lr.entries.empty()
-                         ? app_state_->applied() == lr.applied
-                         : lr.entries.front() == app_state_->applied() + 1;
-  if (!ready) return;
-  const std::int64_t replayed =
-      state::MessageLog::replay(lr.entries, lr.digest, *app_state_);
-  pull_replay_.reset();
-  proc_->sim().spawn(finish_replay(replayed));
-}
-
 void ServerMead::finish_restore(bool restored, double ops) {
   if (!restoring_) return;
   restoring_ = false;
   await_nonce_ = 0;
-  pull_pending_.clear();
-  pull_replay_.reset();
   const double ms = (proc_->sim().now() - restore_begin_).ms();
   stats_.last_restore_ms = ms;
   if (restored) {
@@ -556,28 +483,19 @@ sim::Task<void> ServerMead::finish_replay(std::int64_t replayed) {
 }
 
 sim::Task<void> ServerMead::answer_restore(std::string requester,
-                                           std::uint64_t nonce,
-                                           std::size_t rank,
-                                           std::size_t ranks) {
+                                           std::uint64_t nonce) {
   if (app_state_ == nullptr) co_return;
   LogLine(proc_->sim().log(), LogLevel::kDebug, "mead")
-      << cfg_.member << " answering restore for " << requester << " (stripe "
-      << rank << "/" << ranks << ")";
-  if (rank == 0 && !ckpt_store_->has_base()) co_await push_checkpoint();
+      << cfg_.member << " answering restore for " << requester;
+  if (!ckpt_store_->has_base()) co_await push_checkpoint();
   // Copy the chain: the store may rebase underneath the multicasts.
   const std::vector<state::Checkpoint> chain(ckpt_store_->chain().begin(),
                                              ckpt_store_->chain().end());
   for (const auto& c : chain) {
-    // Stripe ownership: the base (and everything, when solo) belongs to
-    // rank 0; delta epoch e belongs to rank e % ranks.
-    const bool mine = c.is_base ? rank == 0
-                                : (ranks <= 1 || c.epoch % ranks == rank);
-    if (!mine) continue;
     Bytes frame = ckpt_wire(c, nonce);
     ckpt_bytes_->add(frame.size());
     (void)co_await gc_->multicast(ckpt_group(cfg_.service), std::move(frame));
   }
-  if (rank != 0) co_return;  // only the primary closes with the log replay
   if (cfg_.state.dedup_cap > 0 && !dedup_fifo_.empty()) {
     (void)co_await gc_->multicast(ckpt_group(cfg_.service),
                                   reply_cache_wire(nonce));
@@ -612,32 +530,15 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
   c.prev_digest = d.prev_digest;
   c.digest = d.digest;
   c.entries = std::move(d.entries);
-  // apply() consumes `c` only when it returns kApplied; every other
-  // outcome leaves it intact (kGap buffers it below).
   if (restoring_) {
     // Only the directed stream we asked for; periodic pushes would
-    // interleave mid-chain and always gap.
+    // interleave mid-chain and always gap. A gap here is dropped: the
+    // restore watchdog's deadline bounds the wait.
     if (d.nonce == 0 || d.nonce != await_nonce_) return;
-    switch (ckpt_store_->apply(std::move(c), *app_state_)) {
-      case state::CheckpointStore::Apply::kApplied:
-        ++stats_.ckpt_applied;
-        if (d.is_base) restore_base_seen_ = true;
-        if (cfg_.state.pull_restore) {
-          drain_pull_pending();
-          try_pull_replay();
-        }
-        break;
-      case state::CheckpointStore::Apply::kGap:
-        // Pull mode: concurrent answerers interleave their stripes
-        // freely, so an epoch may land before its predecessor — buffer
-        // it and re-apply once the chain grows underneath it.
-        if (cfg_.state.pull_restore && pull_pending_.size() < 64) {
-          pull_pending_.emplace(c.epoch, std::move(c));
-        }
-        break;
-      case state::CheckpointStore::Apply::kStale:
-      case state::CheckpointStore::Apply::kDigestMismatch:
-        break;
+    if (ckpt_store_->apply(std::move(c), *app_state_) ==
+        state::CheckpointStore::Apply::kApplied) {
+      ++stats_.ckpt_applied;
+      if (d.is_base) restore_base_seen_ = true;
     }
     return;
   }

@@ -106,7 +106,6 @@ class ServerMead final : public net::SocketApi {
     std::uint64_t replayed_msgs = 0;   // log entries replayed on restore
     std::uint64_t restores = 0;        // completed peer restores (not fresh)
     double last_restore_ms = 0;        // duration of the latest restore
-    std::uint64_t pull_answers = 0;    // chain stripes answered (pull mode)
     std::uint64_t handoffs = 0;        // ordered rotations served as victim
     std::uint64_t dedup_hits = 0;      // duplicate requests suppressed
   };
@@ -163,15 +162,9 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> checkpoint_loop();
   sim::Task<void> push_checkpoint();
   sim::Task<void> restore_watchdog();
-  /// Answers (a stripe of) a directed restore: rank 0 sends the base and
-  /// the closing LogReplay; deltas go to the rank owning epoch % ranks.
-  /// The historical single-answerer path is rank 0 of 1.
-  sim::Task<void> answer_restore(std::string requester, std::uint64_t nonce,
-                                 std::size_t rank, std::size_t ranks);
-  /// Pull mode: re-applies buffered out-of-order stripes in epoch order.
-  void drain_pull_pending();
-  /// Pull mode: runs the stashed log replay once the chain caught up to it.
-  void try_pull_replay();
+  /// Answers a directed restore (announced primary only): the checkpoint
+  /// chain, then the closing LogReplay.
+  sim::Task<void> answer_restore(std::string requester, std::uint64_t nonce);
   sim::Task<void> request_resync();
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
@@ -234,12 +227,6 @@ class ServerMead final : public net::SocketApi {
   bool restore_base_seen_ = false;
   bool ckpt_push_pending_ = false;
   std::uint64_t await_nonce_ = 0;  // directed restore/resync in flight
-  /// Pull-mode restore only: stripes that arrived ahead of their chain
-  /// position (concurrent answerers interleave freely), keyed by epoch
-  /// and drained in order as the chain grows; plus the primary's closing
-  /// replay, stashed until every delta below it has landed.
-  std::map<std::uint64_t, state::Checkpoint> pull_pending_;
-  std::optional<LogReplay> pull_replay_;
   TimePoint restore_begin_;
   std::uint64_t next_nonce_ = 0;
   obs::Counter* ckpt_bytes_ = nullptr;

@@ -113,42 +113,13 @@ TEST(StateRecoveryTest, DefaultConfigBuildsNoStateMachinery) {
   }
 }
 
-TEST(StateRecoveryTest, PullRestoreStripesTheChainAcrossSurvivingPeers) {
-  // Pull model (StateOptions::pull_restore): the restoring replacement's
-  // kCkptRequest is answered by EVERY announced survivor, each sending the
-  // stripe of the delta chain its listing rank owns, so the rebuild reads
-  // from all peers concurrently instead of serializing on the primary.
-  ExperimentSpec spec = stateful_spec();
-  spec.groups[0].state.pull_restore = true;
-  spec.chaos.crash_process(milliseconds(150), kServiceName);
-
-  Experiment exp(spec);
-  ASSERT_TRUE(exp.start());
-  exp.launch_client();
-  exp.run_to_completion();
-  exp.sim().run_for(milliseconds(500));
-  const ExperimentResult r = exp.collect();
-
-  EXPECT_GE(r.state_restores, 1u);
-  EXPECT_TRUE(r.state_ok);
-
-  // Both surviving peers answered a stripe of the same pull.
-  const ServiceGroup* g = exp.testbed().group(kServiceName);
-  ASSERT_NE(g, nullptr);
-  std::size_t answerers = 0;
-  for (const auto& rep : g->replicas()) {
-    if (rep->mead().stats().pull_answers > 0) ++answerers;
-  }
-  EXPECT_GE(answerers, 2u) << "chain was not striped across survivors";
-}
-
 TEST(StateRecoveryTest, TwoCrashesInOneDeadIntervalRebuildFromOneSurvivor) {
   // Both older replicas die 2 ms apart — before either replacement can
   // announce — leaving a single survivor holding the only copy of the
-  // state. Both replacements pull from it concurrently (their directed
-  // chains interleave on the ckpt channel) and must both converge.
+  // state. The lone survivor, now the announced primary, answers both
+  // replacements' requests (their directed chains interleave on the ckpt
+  // channel) and both must converge.
   ExperimentSpec spec = stateful_spec();
-  spec.groups[0].state.pull_restore = true;
   spec.chaos.crash_process(milliseconds(150), kServiceName);
   spec.chaos.crash_process(milliseconds(152), kServiceName);
 
