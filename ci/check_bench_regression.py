@@ -104,11 +104,19 @@ def check_rm_recovery(name: str, fresh: dict, base: dict,
 #   3. the proactive advantage — mean reactive replica-hole exposure
 #      minus the paper's proactive scheme's (mead-message, which masks
 #      the death entirely) — GROWS with state size: the bigger the
-#      state, the more the restore-gated announce costs a reactive group.
+#      state, the more the restore-gated announce costs a reactive group;
+#   4. checkpoint traffic pays for dirty bytes, not for the interval: at
+#      every (scheme, keys), gc_bps at the fastest checkpoint interval is
+#      at most STATE_CKPT_BPS_MAX times gc_bps at the slowest. A schedule
+#      that ships full bases by epoch count makes this ratio grow with the
+#      checkpoint rate (it was 3.12 under the old every-8-epochs rebase).
+#      gc_bps is simulated bytes per simulated second, so the check is
+#      exact per seed.
 STATE_GROWTH_SLACK = 0.90   # tolerated dip within a rising series
 STATE_SPAN_MIN = 1.3        # largest/smallest restore_ms must exceed this
 STATE_FREQ_SLACK = 1.05     # restore(fast ckpt) may exceed slow by <=5%
 STATE_ADV_SPAN_MIN = 1.05   # advantage(largest)/advantage(smallest)
+STATE_CKPT_BPS_MAX = 2.0    # gc_bps(fastest interval)/gc_bps(slowest)
 STATE_REACTIVE = ("reactive-no-cache", "reactive-cache")
 STATE_PROACTIVE = "mead-message"
 STATE_SERVING = ("mead-message", "location-forward")
@@ -167,6 +175,27 @@ def check_state_trends(name: str, report: dict, failures: list) -> None:
                          f"ckpt{slow:.0f}ms={b['restore_ms']:.2f}")
         print(f"ok   {name}: restore_ms shrinks with checkpoint frequency "
               f"for {', '.join(STATE_SERVING)}")
+
+    # 4. Checkpoint traffic scales with dirty bytes, not the interval.
+    if len(intervals) >= 2:
+        fast, slow = intervals[0], intervals[-1]
+        worst = 0.0
+        for scheme in schemes:
+            for k in keys_axis:
+                a, b = by.get((scheme, k, fast)), by.get((scheme, k, slow))
+                if a is None or b is None or b.get("gc_bps", 0) <= 0:
+                    continue
+                ratio = a["gc_bps"] / b["gc_bps"]
+                worst = max(worst, ratio)
+                if ratio > STATE_CKPT_BPS_MAX:
+                    fail(f"checkpoint traffic scales with the interval for "
+                         f"{scheme}/keys{k:.0f}: gc_bps ckpt{fast:.0f}ms / "
+                         f"ckpt{slow:.0f}ms = {ratio:.2f} "
+                         f"(max x{STATE_CKPT_BPS_MAX})")
+        if worst <= STATE_CKPT_BPS_MAX:
+            print(f"ok   {name}: gc_bps ckpt{fast:.0f}ms / ckpt{slow:.0f}ms "
+                  f"<= x{STATE_CKPT_BPS_MAX} at every (scheme, keys) "
+                  f"(worst {worst:.2f})")
 
     # 3. Proactive advantage grows with state size.
     advantages = []

@@ -169,8 +169,6 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
   void handle_ckpt_delta(CkptDelta&& d);
-  [[nodiscard]] Bytes ckpt_wire(const state::Checkpoint& c,
-                                std::uint64_t nonce) const;
   [[nodiscard]] std::uint64_t make_nonce();
   void handle_ctrl(const gc::Event& ev);
   sim::Task<void> answer_primary_query(std::string reply_group,

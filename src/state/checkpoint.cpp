@@ -1,5 +1,7 @@
 #include "state/checkpoint.h"
 
+#include <numeric>
+
 namespace mead::state {
 
 const Checkpoint& CheckpointStore::take(AppState& s) {
@@ -7,30 +9,21 @@ const Checkpoint& CheckpointStore::take(AppState& s) {
   c.epoch = next_epoch_++;
   c.applied = s.applied();
   c.digest = s.digest();
-  const bool rebase =
-      chain_.empty() || deltas_since_base_ >= rebase_every_;
-  if (rebase) {
-    c.is_base = true;
+  std::vector<std::uint32_t> shipped = s.take_dirty();  // a base subsumes it
+  c.is_base = chain_.empty() || delta_entries_ >= s.keys();
+  if (c.is_base) {
     c.base_epoch = c.epoch;
-    c.prev_digest = 0;
-    c.entries.reserve(s.keys());
-    for (std::uint32_t k = 0; k < s.keys(); ++k) {
-      c.entries.emplace_back(k, s.value(k));
-    }
-    (void)s.take_dirty();  // the base subsumes any pending dirty set
+    shipped.resize(s.keys());
+    std::iota(shipped.begin(), shipped.end(), 0u);
     chain_.clear();
-    deltas_since_base_ = 0;
+    delta_entries_ = 0;
   } else {
-    c.is_base = false;
     c.base_epoch = chain_.front().epoch;
     c.prev_digest = chain_.back().digest;
-    const std::vector<std::uint32_t> dirty = s.take_dirty();
-    c.entries.reserve(dirty.size());
-    for (std::uint32_t k : dirty) {
-      c.entries.emplace_back(k, s.value(k));
-    }
-    ++deltas_since_base_;
+    delta_entries_ += shipped.size() + kHeaderEntries;
   }
+  c.entries.reserve(shipped.size());
+  for (std::uint32_t k : shipped) c.entries.emplace_back(k, s.value(k));
   chain_.push_back(std::move(c));
   return chain_.back();
 }
@@ -39,7 +32,7 @@ CheckpointStore::Apply CheckpointStore::apply(Checkpoint&& c, AppState& s) {
   if (c.epoch <= last_epoch()) return Apply::kStale;
   if (c.is_base) {
     chain_.clear();
-    deltas_since_base_ = 0;
+    delta_entries_ = 0;
   } else {
     if (chain_.empty() || chain_.front().epoch != c.base_epoch ||
         chain_.back().epoch + 1 != c.epoch) {
@@ -48,7 +41,7 @@ CheckpointStore::Apply CheckpointStore::apply(Checkpoint&& c, AppState& s) {
     if (chain_.back().digest != c.prev_digest) {
       return Apply::kDigestMismatch;
     }
-    ++deltas_since_base_;
+    delta_entries_ += c.entries.size() + kHeaderEntries;
   }
   for (const auto& [key, value] : c.entries) s.install(key, value);
   s.set_progress(c.applied, c.digest);

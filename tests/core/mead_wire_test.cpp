@@ -5,6 +5,7 @@
 #include <string>
 
 #include "gc/wire.h"
+#include "state/checkpoint.h"
 
 namespace mead::core {
 namespace {
@@ -344,6 +345,19 @@ TEST(WireGoldenTest, CkptDeltaBytesAcrossValuePads) {
     ASSERT_TRUE(msg.has_value()) << "value_pad=" << pad;
     EXPECT_EQ(*msg->ckpt_delta, c);
     expect_every_truncation_rejected(frame);
+  }
+}
+
+TEST(WireGoldenTest, CkptFromCheckpointMatchesCkptDeltaBytes) {
+  for (const std::uint32_t pad : {0u, 1u, 3u, 7u, 32u}) {
+    const CkptDelta d = golden_ckpt(pad);
+    const state::Checkpoint c{.epoch = d.epoch, .base_epoch = d.base_epoch,
+                              .is_base = d.is_base, .applied = d.applied,
+                              .prev_digest = d.prev_digest, .digest = d.digest,
+                              .entries = d.entries};
+    EXPECT_EQ(encode_ckpt_delta(c, d.member, d.nonce, pad),
+              encode_ckpt_delta(d))
+        << "value_pad=" << pad;
   }
 }
 
