@@ -28,20 +28,39 @@ GcDaemon::GcDaemon(net::ProcessPtr proc, DaemonConfig cfg)
   for (std::size_t i = 0; i < cfg_.daemon_hosts.size(); ++i) {
     alive_daemons_.insert(i);
   }
+  peer_last_seen_.assign(cfg_.daemon_hosts.size(), TimePoint{0});
 }
 
 bool GcDaemon::mesh_ready() const {
-  std::size_t reachable = 0;
-  for (std::size_t i = 0; i < cfg_.daemon_hosts.size(); ++i) {
-    if (i == cfg_.self_index) continue;
-    // A missing-link peer is reachable in the bridged sense: ordered
-    // traffic flows to and from it relayed through a linked peer.
-    if (peer_fds_.contains(i) || dead_daemons_.contains(i) ||
-        missing_links_.contains(i)) {
-      ++reachable;
-    }
+  // Counts the other daemons that are linked, dead, or missing-link peers
+  // (reachable bridged, relayed through a linked peer). peer_fds_ keys are
+  // valid peer ids (kPeerHello checks), so only the small sets are scanned.
+  const std::size_t n = cfg_.daemon_hosts.size();
+  auto unlinked_peer = [&](std::uint64_t i) {
+    return i < n && i != cfg_.self_index && !peer_fds_.contains(i);
+  };
+  std::size_t reachable = peer_fds_.size();
+  for (std::uint64_t i : dead_daemons_) {
+    if (unlinked_peer(i)) ++reachable;
   }
-  return reachable + 1 >= cfg_.daemon_hosts.size();
+  for (std::uint64_t i : missing_links_) {
+    if (unlinked_peer(i) && !dead_daemons_.contains(i)) ++reachable;
+  }
+  return reachable + 1 >= n;
+}
+
+GcDaemon::GroupSlot& GcDaemon::slot(std::string_view name) {
+  auto it = slots_.find(name);
+  if (it != slots_.end()) return it->second;
+  GroupSlot s;
+  // FNV-1a over the group key: stamper_for reduces it over the alive set.
+  s.stamper_hash = 1469598103934665603ull;
+  for (unsigned char c : name) {
+    s.stamper_hash ^= c;
+    s.stamper_hash *= 1099511628211ull;
+  }
+  // No groups_ entry exists yet: every one is entered through a slot.
+  return slots_.emplace(std::string(name), std::move(s)).first->second;
 }
 
 void GcDaemon::on_peer_link_up() {
@@ -51,10 +70,7 @@ void GcDaemon::on_peer_link_up() {
     if (missing_links_.empty() && bridge_requested_) {
       // Every link healed for real: stop the relays.
       bridge_requested_ = false;
-      for (auto& [peer, fd] : peer_fds_) {
-        (void)peer;
-        direct_send(fd, encode_bridge(BridgeMsg{cfg_.self_index, false}));
-      }
+      direct_broadcast(encode_bridge(BridgeMsg{cfg_.self_index, false}));
     }
   }
   if (mesh_ready()) flush_pending();
@@ -68,19 +84,14 @@ void GcDaemon::flush_pending() {
   for (auto& m : foreign) route_submit(std::move(m), /*from_fd=*/-1);
   // Our own pending submissions. stamp_and_dispatch -> handle_ordered
   // erases the entry from pending_, so iterate over a snapshot.
-  const std::vector<OrderedMsg> mine(pending_.begin(), pending_.end());
-  for (const auto& m : mine) {
-    const std::uint64_t owner = stamper_for(m.group);
-    if (owner == cfg_.self_index) {
-      stamp_and_dispatch(m);
-      continue;
-    }
-    auto it = peer_fds_.find(owner);
-    // Bridged regime: the stamper is alive but unlinked. Relay via the
-    // lowest-id linked peer; ids shrink toward the sequencer hop by hop.
-    if (it == peer_fds_.end() && !missing_links_.empty()) it = peer_fds_.begin();
-    if (it != peer_fds_.end()) mesh_send(it->second, encode_submit(m));
-  }
+  for (auto& m : pending_snapshot()) route_submit(std::move(m), /*from_fd=*/-1);
+}
+
+std::vector<OrderedMsg> GcDaemon::pending_snapshot() const {
+  std::vector<OrderedMsg> mine;
+  mine.reserve(pending_.size());
+  for (const auto& [id, m] : pending_) mine.push_back(m);
+  return mine;
 }
 
 std::string GcDaemon::reply_group_of(const std::string& member) {
@@ -95,21 +106,17 @@ std::uint64_t GcDaemon::sequencer_id() const {
   return *alive_daemons_.begin();  // lowest live daemon id
 }
 
-std::uint64_t GcDaemon::stamper_for(const std::string& group) const {
+std::uint64_t GcDaemon::stamper_for(const GroupSlot& s) const {
   if (!cfg_.plane.shard_sequencers || alive_daemons_.empty()) {
     return sequencer_id();
   }
-  // FNV-1a over the group key, reduced over the alive set: a pure function
+  // The group key's FNV-1a hash reduced over the alive set: a pure function
   // of (group, alive set), so every daemon agrees on each group's stamper
   // without coordination, and ownership reshuffles deterministically when
   // the alive set changes.
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : group) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
   auto it = alive_daemons_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(h % alive_daemons_.size()));
+  std::advance(it, static_cast<std::ptrdiff_t>(s.stamper_hash %
+                                               alive_daemons_.size()));
   return *it;
 }
 
@@ -144,9 +151,7 @@ sim::Task<void> GcDaemon::peer_monitor_loop() {
     std::vector<std::uint64_t> timed_out;
     for (const auto& [peer, fd] : peer_fds_) {
       (void)fd;
-      auto seen = peer_last_seen_.find(peer);
-      if (seen == peer_last_seen_.end()) continue;
-      if (now - seen->second > cfg_.heartbeat_interval * 3) {
+      if (now - peer_last_seen_[peer] > cfg_.heartbeat_interval * 3) {
         timed_out.push_back(peer);
       }
     }
@@ -218,13 +223,10 @@ sim::Task<void> GcDaemon::heartbeat_loop() {
       const bool alive_after_wait = co_await proc_->sleep(interval);
       if (!alive_after_wait) co_return;
     }
-    for (auto& [peer, fd] : peer_fds_) {
-      (void)peer;
-      direct_send(fd, sharded
-                          ? encode_seq_watermark(
-                                SeqWatermarkMsg{cfg_.self_index, next_seq_})
-                          : encode_heartbeat(HeartbeatMsg{cfg_.self_index}));
-    }
+    direct_broadcast(
+        sharded
+            ? encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_})
+            : encode_heartbeat(HeartbeatMsg{cfg_.self_index}));
   }
 }
 
@@ -260,6 +262,13 @@ void GcDaemon::direct_send(int fd, Bytes data) {
   // the ordered traffic batched ahead of them (per-link FIFO).
   if (cfg_.plane.batching) flush_batch(fd);
   spawn_write(fd, std::move(data));
+}
+
+void GcDaemon::direct_broadcast(const Bytes& wire, int skip_fd) {
+  for (const auto& [peer, fd] : peer_fds_) {
+    (void)peer;
+    if (fd != skip_fd) direct_send(fd, wire);
+  }
 }
 
 void GcDaemon::flush_batch(int fd) {
@@ -319,6 +328,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   ConnState& st = it->second;
+  // A kPeer link's id is a valid daemon id: kPeerHello checked it.
   if (st.role == ConnState::Role::kPeer) {
     peer_last_seen_[st.peer_id] = proc_->sim().now();
   }
@@ -331,50 +341,38 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       st.client_name = m->name;
       client_fds_[m->name] = fd;
       // Auto-join the member's reply group so others can address it.
-      OrderedMsg join;
-      join.kind = PayloadKind::kJoin;
-      join.group = reply_group_of(m->name);
-      join.member = m->name;
-      st.joined.insert(join.group);
-      submit(std::move(join));
+      const std::string reply = reply_group_of(m->name);
+      st.joined.insert(reply);
+      submit(PayloadKind::kJoin, reply, m->name);
       break;
     }
     case Op::kJoin: {
       auto m = decode_group(frame.payload);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.insert(m->group);
-      OrderedMsg join;
-      join.kind = PayloadKind::kJoin;
-      join.group = std::move(m->group);
-      join.member = st.client_name;
-      submit(std::move(join));
+      submit(PayloadKind::kJoin, std::move(m->group), st.client_name);
       break;
     }
     case Op::kLeave: {
       auto m = decode_group(frame.payload);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.erase(m->group);
-      OrderedMsg leave;
-      leave.kind = PayloadKind::kLeave;
-      leave.group = std::move(m->group);
-      leave.member = st.client_name;
-      submit(std::move(leave));
+      submit(PayloadKind::kLeave, std::move(m->group), st.client_name);
       break;
     }
     case Op::kMcast: {
       auto m = decode_mcast(frame.payload);
       if (!m || st.role != ConnState::Role::kClient) return;
-      OrderedMsg data;
-      data.kind = PayloadKind::kData;
-      data.group = std::move(m->group);
-      data.member = st.client_name;
-      data.payload = std::move(m->payload);
-      submit(std::move(data));
+      submit(PayloadKind::kData, std::move(m->group), st.client_name,
+             std::move(m->payload));
       break;
     }
     case Op::kPeerHello: {
       auto m = decode_peer_hello(frame.payload);
-      if (!m) return;
+      if (!m || m->daemon_id >= cfg_.daemon_hosts.size() ||
+          m->daemon_id == cfg_.self_index) {
+        return;
+      }
       st.role = ConnState::Role::kPeer;
       st.peer_id = m->daemon_id;
       if (dead_daemons_.contains(m->daemon_id)) {
@@ -423,12 +421,11 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
     case Op::kOrdered: {
       auto m = decode_ordered_like(frame.payload);
       if (!m) return;
-      // Freshness gate before handling: bridge targets get exactly the
-      // ordered traffic we accept, and a forwarded duplicate bouncing back
-      // can never re-forward (it is no longer fresh here).
-      const bool fresh = is_fresh(m.value());
+      // Bridge targets get exactly the ordered traffic we accept, and a
+      // forwarded duplicate bouncing back can never re-forward (it is no
+      // longer fresh here).
       const std::uint64_t from_peer = st.peer_id;
-      handle_ordered(m.value());
+      const bool fresh = handle_ordered(m.value(), slot(m->group));
       if (fresh && !bridge_targets_.empty()) {
         const Bytes wire = encode_ordered(m.value());
         for (std::uint64_t target : bridge_targets_) {
@@ -476,24 +473,19 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
   }
 }
 
-void GcDaemon::submit(OrderedMsg m) {
+void GcDaemon::submit(PayloadKind kind, std::string group, std::string member,
+                      Bytes payload) {
+  OrderedMsg m;
+  m.kind = kind;
+  m.group = std::move(group);
+  m.member = std::move(member);
+  m.payload = std::move(payload);
   m.origin = cfg_.self_index;
   m.msg_id = next_msg_id_++;
-  pending_.push_back(m);
+  pending_.emplace(m.msg_id, m);
   if (!mesh_ready()) return;  // flushed by on_peer_link_up()
-  const std::uint64_t owner = stamper_for(m.group);
-  if (owner == cfg_.self_index) {
-    stamp_and_dispatch(std::move(m));
-  } else {
-    auto it = peer_fds_.find(owner);
-    // Bridged regime: relay toward the unlinked stamper via the lowest-id
-    // linked peer (see flush_pending).
-    if (it == peer_fds_.end() && !missing_links_.empty()) it = peer_fds_.begin();
-    if (it != peer_fds_.end()) {
-      mesh_send(it->second, encode_submit(m));
-    }
-    // If the stamper link is down, handle_peer_gone will resubmit.
-  }
+  // If the stamper link is down, handle_peer_gone will resubmit.
+  route_submit(std::move(m), /*from_fd=*/-1);
 }
 
 void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
@@ -503,12 +495,14 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
   // the daemon we believe owns it rather than dropping, so the origin need
   // not wait for a resubmit cycle. Before our mesh is complete, stamping
   // would lose the dispatch to not-yet-connected daemons, so park it.
-  const std::uint64_t owner = stamper_for(m.group);
+  GroupSlot& s = slot(m.group);
+  const std::uint64_t owner = stamper_for(s);
   if (owner != cfg_.self_index) {
     auto it = peer_fds_.find(owner);
     if (it == peer_fds_.end() && !missing_links_.empty()) {
       // Bridged regime: hop the submit toward the unlinked stamper via our
-      // lowest-id linked peer — never back where it came from.
+      // lowest-id linked peer — never back where it came from. Ids shrink
+      // toward the sequencer hop by hop.
       it = peer_fds_.begin();
       if (it != peer_fds_.end() && it->second == from_fd) {
         it = peer_fds_.end();
@@ -523,10 +517,10 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
     stamp_wait_.push_back(std::move(m));
     return;
   }
-  stamp_and_dispatch(std::move(m));
+  stamp_and_dispatch(std::move(m), s);
 }
 
-void GcDaemon::stamp_and_dispatch(OrderedMsg m) {
+void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
   m.seq = next_seq_++;
   const Bytes wire = encode_ordered(m);
   // One broadcast per ordered message, recorded at the stamper — the
@@ -546,9 +540,8 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m) {
     // reply-group sends come from non-members). Membership frames are
     // never scoped, so groups_/homes are globally replicated and every
     // daemon can compute this set.
-    auto git = groups_.find(m.group);
-    if (git != groups_.end()) {
-      for (const auto& [member, home] : git->second.homes) {
+    if (s.state != nullptr) {
+      for (const auto& [member, home] : s.state->homes) {
         interested.insert(home);
       }
     }
@@ -575,79 +568,66 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m) {
       mesh_send(fd, wire);
     }
   }
-  handle_ordered(m);
+  handle_ordered(m, s);
 }
 
-std::uint64_t& GcDaemon::done_mark(const OrderedMsg& m) {
-  return cfg_.plane.shard_sequencers ? done_by_group_[m.group][m.origin]
-                                     : done_msg_ids_[m.origin];
-}
-
-bool GcDaemon::is_fresh(const OrderedMsg& m) const {
-  if (cfg_.plane.shard_sequencers) {
-    const auto g = done_by_group_.find(m.group);
-    if (g == done_by_group_.end()) return true;
-    const auto done = g->second.find(m.origin);
-    return done == g->second.end() || m.msg_id > done->second;
+template <typename Encode>
+void GcDaemon::write_to_local(const std::vector<std::string>& members,
+                              Encode encode) {
+  int last_fd = -1;
+  Bytes wire;
+  for (const auto& member : members) {
+    auto fd = client_fds_.find(member);
+    if (fd == client_fds_.end()) continue;  // member is remote
+    if (last_fd < 0) {
+      wire = encode();
+    } else {
+      spawn_write(last_fd, wire);
+    }
+    last_fd = fd->second;
   }
-  const auto done = done_msg_ids_.find(m.origin);
-  return done == done_msg_ids_.end() || m.msg_id > done->second;
+  if (last_fd >= 0) spawn_write(last_fd, std::move(wire));
 }
 
-void GcDaemon::handle_ordered(const OrderedMsg& m) {
+bool GcDaemon::handle_ordered(const OrderedMsg& m, GroupSlot& s) {
   // At-least-once dedupe: msg ids are strictly increasing and FIFO along
   // each stamping path, so a high-water mark per path suffices. Legacy mode
   // has one path per origin (everything crosses the one sequencer); sharded
-  // mode has one per (group, origin) — see done_by_group_.
-  auto& done = done_mark(m);
-  if (m.msg_id <= done) return;
-  done = m.msg_id;
-  if (m.origin == cfg_.self_index) {
-    std::erase_if(pending_, [&](const OrderedMsg& p) { return p.msg_id == m.msg_id; });
+  // mode has one per (group, origin) — see GroupSlot::done.
+  DoneMarks& marks = cfg_.plane.shard_sequencers ? s.done : done_msg_ids_;
+  auto mark = std::find_if(marks.begin(), marks.end(),
+                           [&](const auto& e) { return e.first == m.origin; });
+  if (mark == marks.end()) {
+    marks.emplace_back(m.origin, 0);
+    mark = std::prev(marks.end());
   }
+  if (m.msg_id <= mark->second) return false;
+  mark->second = m.msg_id;
+  if (m.origin == cfg_.self_index) pending_.erase(m.msg_id);
   ++delivered_count_;
 
-  GroupState& group = groups_[m.group];
-  switch (m.kind) {
-    case PayloadKind::kData: {
-      for (const auto& member : group.members) {
-        auto fd = client_fds_.find(member);
-        if (fd == client_fds_.end()) continue;  // member is remote
-        spawn_write(fd->second, encode_deliver(m));
-      }
-      break;
-    }
-    case PayloadKind::kJoin: {
-      if (std::find(group.members.begin(), group.members.end(), m.member) ==
-          group.members.end()) {
-        group.members.push_back(m.member);
-        group.homes[m.member] = m.origin;
-        group.view_id = m.seq;
-        send_view(m.group);
-      }
-      break;
-    }
-    case PayloadKind::kLeave: {
-      auto it = std::find(group.members.begin(), group.members.end(), m.member);
-      if (it != group.members.end()) {
-        group.members.erase(it);
-        group.homes.erase(m.member);
-        group.view_id = m.seq;
-        send_view(m.group);
-      }
-      break;
-    }
+  if (s.state == nullptr) s.state = &groups_[m.group];
+  GroupState& group = *s.state;
+  if (m.kind == PayloadKind::kData) {
+    write_to_local(group.members, [&] { return encode_deliver(m); });
+    return true;
   }
-}
-
-void GcDaemon::send_view(const std::string& group) {
-  const GroupState& g = groups_[group];
-  const Bytes wire = encode_view(ViewMsg{group, g.view_id, g.members});
-  for (const auto& member : g.members) {
-    auto fd = client_fds_.find(member);
-    if (fd == client_fds_.end()) continue;
-    spawn_write(fd->second, wire);
+  // Membership: a join of a member or a leave of a non-member changes no view.
+  const bool join = m.kind == PayloadKind::kJoin;
+  auto it = std::find(group.members.begin(), group.members.end(), m.member);
+  if (join == (it != group.members.end())) return true;
+  if (join) {
+    group.members.push_back(m.member);
+    group.homes[m.member] = m.origin;
+  } else {
+    group.members.erase(it);
+    group.homes.erase(m.member);
   }
+  group.view_id = m.seq;
+  write_to_local(group.members, [&] {
+    return encode_view(ViewMsg{m.group, group.view_id, group.members});
+  });
+  return true;
 }
 
 void GcDaemon::handle_client_gone(int fd) {
@@ -685,11 +665,7 @@ sim::Task<void> GcDaemon::delayed_member_death(std::string member,
     if (!alive_after_wait) co_return;
   }
   for (auto& g : groups) {
-    OrderedMsg leave;
-    leave.kind = PayloadKind::kLeave;
-    leave.group = std::move(g);
-    leave.member = member;
-    submit(std::move(leave));
+    submit(PayloadKind::kLeave, std::move(g), member);
   }
 }
 
@@ -703,7 +679,6 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
   dead_daemons_.insert(peer_id);
   pending_merge_.erase(peer_id);
   peer_fds_.erase(peer_id);
-  peer_last_seen_.erase(peer_id);
 
   if (cfg_.plane.shard_sequencers) {
     // Sharded takeover: every daemon ratchets past the dead peer's last
@@ -715,20 +690,23 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
     auto wm = peer_watermarks_.find(peer_id);
     bump_seq_past(wm == peer_watermarks_.end() ? 0 : wm->second);
     peer_watermarks_.erase(peer_id);
-    const std::vector<OrderedMsg> mine(pending_.begin(), pending_.end());
-    for (const auto& m : mine) route_submit(m, /*from_fd=*/-1);
+    for (auto& m : pending_snapshot()) route_submit(std::move(m), /*from_fd=*/-1);
   } else if (sequencer_died && is_sequencer()) {
     // Takeover: jump the sequence domain so stale in-flight stamps can't
     // collide, then resubmit our unordered messages (snapshot: dispatch
     // erases entries from pending_).
     next_seq_ += 1024;
-    const std::vector<OrderedMsg> mine(pending_.begin(), pending_.end());
-    for (const auto& m : mine) stamp_and_dispatch(m);
+    for (auto& m : pending_snapshot()) {
+      GroupSlot& s = slot(m.group);
+      stamp_and_dispatch(std::move(m), s);
+    }
   } else if (sequencer_died) {
     // Resubmit pending to the new sequencer.
     auto it = peer_fds_.find(sequencer_id());
     if (it != peer_fds_.end()) {
-      for (const auto& m : pending_) mesh_send(it->second, encode_submit(m));
+      for (const auto& [id, m] : pending_) {
+        mesh_send(it->second, encode_submit(m));
+      }
     }
   }
 
@@ -738,17 +716,13 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
   // expulsions the earlier death would have triggered. In legacy mode the
   // stamper of every group is the global sequencer.
   for (auto& [gname, g] : groups_) {
-    if (stamper_for(gname) != cfg_.self_index) continue;
+    if (stamper_for(slot(gname)) != cfg_.self_index) continue;
     std::vector<std::string> orphans;
     for (const auto& [member, home] : g.homes) {
       if (dead_daemons_.contains(home)) orphans.push_back(member);
     }
     for (auto& member : orphans) {
-      OrderedMsg leave;
-      leave.kind = PayloadKind::kLeave;
-      leave.group = gname;
-      leave.member = member;
-      submit(std::move(leave));
+      submit(PayloadKind::kLeave, gname, member);
     }
   }
 
@@ -921,12 +895,8 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
       // bumped frontier so the rest of our island ratchets too (the
       // periodic watermark would get there anyway; this closes the gap).
       bump_seq_past(m.next_seq);
-      const Bytes wm_wire = encode_seq_watermark(
-          SeqWatermarkMsg{cfg_.self_index, next_seq_});
-      for (auto& [peer, pfd] : peer_fds_) {
-        (void)peer;
-        direct_send(pfd, wm_wire);
-      }
+      direct_broadcast(
+          encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_}));
     } else if (is_sequencer()) {
       bump_seq_past(m.next_seq);
     } else {
@@ -940,13 +910,9 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
     // Gossip the merged alive set to the rest of our island: peers further
     // down a healed chain never exchanged a Rejoin with the new arrival,
     // yet must learn the mesh now extends past their own links.
-    const Bytes alive_wire = encode_alive_set(
-        AliveSetMsg{{alive_daemons_.begin(), alive_daemons_.end()}});
-    for (auto& [peer, pfd] : peer_fds_) {
-      (void)peer;
-      if (pfd == fd) continue;
-      direct_send(pfd, alive_wire);
-    }
+    direct_broadcast(encode_alive_set(AliveSetMsg{
+                         {alive_daemons_.begin(), alive_daemons_.end()}}),
+                     /*skip_fd=*/fd);
   } else {
     // Our island's unordered traffic belongs to an abandoned domain.
     pending_.clear();
@@ -991,21 +957,14 @@ void GcDaemon::adopt_alive_set(const std::vector<std::uint64_t>& alive,
   if (!changed) return;
   // Re-gossip on growth only, so chains of any length converge and the
   // traffic terminates (the union is monotone and bounded).
-  const Bytes wire = encode_alive_set(
-      AliveSetMsg{{alive_daemons_.begin(), alive_daemons_.end()}});
-  for (auto& [peer, pfd] : peer_fds_) {
-    (void)peer;
-    if (pfd == source_fd) continue;
-    direct_send(pfd, wire);
-  }
+  direct_broadcast(encode_alive_set(AliveSetMsg{
+                       {alive_daemons_.begin(), alive_daemons_.end()}}),
+                   source_fd);
   if (missing_links_.empty()) return;
   // Bridged regime: ask every linked peer to relay ordered traffic to us
   // and keep probing for the real link (requests are idempotent).
   bridge_requested_ = true;
-  for (auto& [peer, pfd] : peer_fds_) {
-    (void)peer;
-    direct_send(pfd, encode_bridge(BridgeMsg{cfg_.self_index, true}));
-  }
+  direct_broadcast(encode_bridge(BridgeMsg{cfg_.self_index, true}));
   if (!probe_running_) {
     probe_running_ = true;
     proc_->sim().spawn(rejoin_probe_loop());
@@ -1021,14 +980,11 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
     // Our island-mates only hear about the merge via kAliveSet, which
     // carries no counter; beacon the bumped frontier so they ratchet now
     // rather than one watermark interval from now.
-    const Bytes wm_wire =
-        encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_});
-    for (auto& [peer, pfd] : peer_fds_) {
-      (void)peer;
-      direct_send(pfd, wm_wire);
-    }
+    direct_broadcast(
+        encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_}));
   }
   groups_.clear();
+  for (auto& entry : slots_) entry.second.state = nullptr;
   for (const auto& snap : m.groups) {
     GroupState g;
     g.members = snap.members;
@@ -1037,7 +993,8 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
          ++i) {
       g.homes[snap.members[i]] = snap.homes[i];
     }
-    groups_[snap.group] = std::move(g);
+    GroupState& adopted = groups_[snap.group] = std::move(g);
+    slot(snap.group).state = &adopted;
   }
   ++rejoins_;
   proc_->sim().obs().metrics().counter("gc.rejoins").add();
@@ -1061,11 +1018,7 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
   for (auto& [fd, st] : conns_) {
     if (st.role != ConnState::Role::kClient) continue;
     for (const auto& gname : st.joined) {
-      OrderedMsg join;
-      join.kind = PayloadKind::kJoin;
-      join.group = gname;
-      join.member = st.client_name;
-      submit(std::move(join));
+      submit(PayloadKind::kJoin, gname, st.client_name);
     }
   }
 }

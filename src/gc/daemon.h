@@ -34,6 +34,9 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gc/wire.h"
@@ -163,11 +166,36 @@ class GcDaemon {
     std::map<std::string, std::uint64_t> homes;  // member -> daemon id
     std::uint64_t view_id = 0;
   };
+  /// (origin, last applied msg id): a few origins each, scanned linearly.
+  using DoneMarks = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  /// Host-local interned group: all the per-frame path needs, found with
+  /// one hash lookup per frame. Slots are never erased.
+  struct GroupSlot {
+    /// Into groups_ (map nodes are stable); null until first applied here.
+    /// handle_state_sync rebuilds groups_ and re-points every slot.
+    GroupState* state = nullptr;
+    std::uint64_t stamper_hash = 0;  // FNV-1a of the name (stamper_for)
+    /// Sharded-mode dedupe: one origin's messages for different groups
+    /// travel through different stampers, so only per-(group, origin) msg
+    /// ids are FIFO — a single per-origin high-water mark would drop the
+    /// earlier of two cross-group messages whenever their broadcasts raced.
+    DoneMarks done;
+  };
+  struct NameHash {
+    using is_transparent = void;
+    // Not noexcept, so libstdc++ caches each node's hash: probes and
+    // rehashes compare cached hashes instead of re-hashing stored names.
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
 
   /// True once links to every other configured daemon are up (or the peer
   /// is known dead). Client submissions are buffered until then, so no
   /// daemon ever orders messages into a half-formed mesh.
   [[nodiscard]] bool mesh_ready() const;
+  /// The interned slot of `name`, created on first sight.
+  GroupSlot& slot(std::string_view name);
 
   sim::Task<void> accept_loop(int listen_fd);
   sim::Task<void> connection_loop(int fd);
@@ -185,6 +213,8 @@ class GcDaemon {
 
   void on_peer_link_up();
   void flush_pending();
+  /// Copy of pending_ in submission order (dispatch erases entries).
+  [[nodiscard]] std::vector<OrderedMsg> pending_snapshot() const;
   void handle_frame(int fd, const Frame& frame);
   void handle_client_gone(int fd);
   /// `fd` is the link that ended; a stale fd superseded by a rejoin dial is
@@ -210,30 +240,38 @@ class GcDaemon {
   [[nodiscard]] StateSyncMsg snapshot_state() const;
   /// Keeps our stamps above a foreign sequence domain (the takeover jump).
   void bump_seq_past(std::uint64_t foreign_next_seq);
-  void submit(OrderedMsg m);
-  /// Forward a submit to its stamper (or stamp/park it if that is us).
+  /// Originates an ordered message from this daemon.
+  void submit(PayloadKind kind, std::string group, std::string member,
+              Bytes payload = {});
+  /// Send a submit to its stamper, or relay it via the lowest-id linked
+  /// peer while that stamper is alive but unlinked (the bridged regime);
+  /// stamps (or parks, before the mesh is complete) if the stamper is us.
   /// `from_fd` is the link it arrived on (-1 for local), never relayed back.
   void route_submit(OrderedMsg m, int from_fd);
-  void stamp_and_dispatch(OrderedMsg m);
-  /// The dedupe high-water slot for `m`: per origin in legacy mode (one
-  /// sequencer means one FIFO path per origin), per (group, origin) when
+  void stamp_and_dispatch(OrderedMsg m, GroupSlot& s);
+  /// Applies `m` unless already applied; returns whether it was fresh.
+  /// Dedupe is a high-water mark per origin in legacy mode (one sequencer
+  /// means one FIFO path per origin) and per (group, origin) when
   /// sequencers are sharded (FIFO only holds within a group's stamper path).
-  [[nodiscard]] std::uint64_t& done_mark(const OrderedMsg& m);
-  [[nodiscard]] bool is_fresh(const OrderedMsg& m) const;
-  void handle_ordered(const OrderedMsg& m);
-  void send_view(const std::string& group);
+  bool handle_ordered(const OrderedMsg& m, GroupSlot& s);
+  /// Writes `encode()` to every local member of `members`, encoding only
+  /// if one exists; the last write takes the buffer instead of a copy.
+  template <typename Encode>
+  void write_to_local(const std::vector<std::string>& members, Encode encode);
   void spawn_write(int fd, Bytes data);
   /// Mesh write that may be coalesced into the fd's pending FrameBatch.
   void mesh_send(int fd, const Bytes& frame);
   /// Unbatched write; flushes the fd's pending batch first so control
   /// frames never overtake batched ordered traffic (FIFO per link).
   void direct_send(int fd, Bytes data);
+  /// direct_send to every linked peer except `skip_fd`, in peer-id order.
+  void direct_broadcast(const Bytes& wire, int skip_fd = -1);
   void flush_batch(int fd);
   sim::Task<void> batch_flush_task(int fd, std::uint64_t epoch);
   [[nodiscard]] std::uint64_t sequencer_id() const;
   /// The daemon that stamps `group`: the global sequencer in legacy mode,
   /// or FNV-1a(group) over the alive set when sequencers are sharded.
-  [[nodiscard]] std::uint64_t stamper_for(const std::string& group) const;
+  [[nodiscard]] std::uint64_t stamper_for(const GroupSlot& s) const;
 
   net::ProcessPtr proc_;
   DaemonConfig cfg_;
@@ -257,7 +295,9 @@ class GcDaemon {
   };
   std::map<int, ConnState> conns_;
   std::map<std::uint64_t, int> peer_fds_;
-  std::map<std::uint64_t, TimePoint> peer_last_seen_;
+  /// Indexed by daemon id; only read for linked peers, each of which was
+  /// stamped when its link came up.
+  std::vector<TimePoint> peer_last_seen_;
   std::map<std::string, int> client_fds_;
   std::set<std::uint64_t> alive_daemons_;  // presumed alive until EOF
   std::set<std::uint64_t> dead_daemons_;
@@ -292,17 +332,17 @@ class GcDaemon {
   /// Last kSeqWatermark per peer (sharded mode): the takeover floor used
   /// when a shard owner dies.
   std::map<std::uint64_t, std::uint64_t> peer_watermarks_;
-  std::deque<OrderedMsg> pending_;      // ours, not yet seen ordered
+  /// Ours, not yet seen ordered, by msg id (so in submission order); a
+  /// delivery retires its entry by key (sharded ids are not FIFO).
+  std::map<std::uint64_t, OrderedMsg> pending_;
   std::deque<OrderedMsg> stamp_wait_;   // foreign submits awaiting mesh
-  std::map<std::uint64_t, std::uint64_t> done_msg_ids_;  // origin -> last applied
-  /// Sharded-mode dedupe: one origin's messages for different groups travel
-  /// through different stampers, so only per-(group, origin) msg ids are
-  /// FIFO — a single per-origin high-water mark would drop the earlier of
-  /// two cross-group messages whenever their broadcasts raced.
-  std::map<std::string, std::map<std::uint64_t, std::uint64_t>> done_by_group_;
+  DoneMarks done_msg_ids_;  // legacy-mode dedupe, per origin
   std::uint64_t delivered_count_ = 0;
 
+  /// Name-ordered: iterated where the order is observable (leave
+  /// submission on peer/client death, state-sync snapshots).
   std::map<std::string, GroupState> groups_;
+  std::unordered_map<std::string, GroupSlot, NameHash, std::equal_to<>> slots_;
 };
 
 }  // namespace mead::gc

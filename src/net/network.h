@@ -100,6 +100,9 @@ class WaitSet {
 struct ConnEnd {
   Endpoint local;
   Endpoint remote;
+  /// Node of the owning process (`local.host`), resolved once at connect
+  /// so writes, closes and crash teardown never look the host up again.
+  NodeId node = kInvalidNode;
   ByteQueue inbox;
   bool eof = false;           // peer closed; surfaced after inbox drains
   bool local_closed = false;  // this side closed (or its process died)

@@ -15,6 +15,34 @@ TEST_F(GcDaemonTest, MeshComesUpAndElectsSequencer) {
   EXPECT_FALSE(daemons_[2]->is_sequencer());
 }
 
+TEST_F(GcDaemonTest, PeerHelloWithAnInvalidDaemonIdIsIgnored) {
+  // Daemon ids index per-peer state, so a hello naming an id outside the
+  // configured mesh (or the receiver itself) must not register a peer.
+  auto rogue = net_.spawn_process("node1", "rogue");
+  auto send = [](net::Process& p) -> sim::Task<void> {
+    auto fd = co_await p.api().connect(net::Endpoint{"node2", kDefaultDaemonPort});
+    if (!fd) co_return;
+    for (std::uint64_t id : {std::uint64_t{99}, std::uint64_t{1}}) {
+      (void)co_await p.api().writev(fd.value(), encode_peer_hello(PeerHelloMsg{id}));
+      (void)co_await p.api().writev(fd.value(), encode_heartbeat(HeartbeatMsg{id}));
+    }
+  };
+  sim_.spawn(send(*rogue));
+  sim_.run_for(milliseconds(10));
+  EXPECT_FALSE(daemons_[1]->peer_link_up(99));
+  EXPECT_FALSE(daemons_[1]->peer_link_up(1));
+  // The real mesh is untouched: a join still reaches every daemon.
+  auto c = make_client("node2", "member-a");
+  auto joiner = [](GcClient& gc) -> sim::Task<void> {
+    (void)co_await gc.join("grp");
+  };
+  sim_.spawn(joiner(*c.gc));
+  sim_.run_for(milliseconds(10));
+  for (auto& d : daemons_) {
+    EXPECT_EQ(d->group_members("grp"), (std::vector<std::string>{"member-a"}));
+  }
+}
+
 TEST_F(GcDaemonTest, JoinPropagatesToAllDaemons) {
   auto c = make_client("node2", "member-a");
   bool sent = false;

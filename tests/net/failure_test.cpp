@@ -365,5 +365,100 @@ TEST_F(FailureTest, ChainedDup2RedirectsFollowTheLatestTarget) {
   EXPECT_EQ(c_got, "final");
 }
 
+// Connections resolve both ends' nodes once, at connect. A partition that
+// starts later must still cut them: these open the connection first, then
+// partition, and check that data, the FIN and a crash's reset are all lost.
+
+/// What the server side of a partitioned connection observed.
+struct PartitionedServer {
+  std::string got;
+  bool hung = false;  // a read timed out: no data, no EOF
+};
+
+/// Accepts one connection on node1:5000 and reads until EOF, error, or
+/// 100 ms of silence.
+sim::Task<void> partitioned_server(Process& p, PartitionedServer& out) {
+  auto lfd = p.api().listen(5000);
+  auto fd = co_await p.api().accept(lfd.value());
+  for (;;) {
+    auto r = co_await p.api().read(fd.value(), 4096, milliseconds(100));
+    if (!r) {
+      out.hung = r.error() == NetErr::kTimeout;
+      co_return;
+    }
+    if (r->empty()) co_return;  // EOF
+    out.got.append(r->begin(), r->end());
+  }
+}
+
+/// Connects, optionally aliases the fd with dup2, writes "before", then
+/// partitions the link and writes "after" and closes through the alias (and
+/// the original fd).
+sim::Task<void> write_across_partition(Process& p, Network& net,
+                                       bool via_alias) {
+  auto fd = co_await p.api().connect(Endpoint{"node1", 5000});
+  if (!fd) co_return;
+  int use = fd.value();
+  if (via_alias) {
+    use = 42;
+    EXPECT_TRUE(p.api().dup2(fd.value(), use).ok());
+  }
+  (void)co_await p.api().writev(use, to_bytes("before"));
+  co_await p.sim().sleep(milliseconds(5));
+  net.set_link_partitioned("node1", "node2", true);
+  (void)co_await p.api().writev(use, to_bytes("after"));
+  if (via_alias) {
+    EXPECT_TRUE(p.api().close(fd.value()).ok());
+  }
+  EXPECT_TRUE(p.api().close(use).ok());
+}
+
+TEST_F(FailureTest, PartitionAfterConnectDropsWritesAndTheFin) {
+  auto server = net_.spawn_process("node1", "server");
+  auto client = net_.spawn_process("node2", "client");
+  PartitionedServer seen;
+  sim_.spawn(partitioned_server(*server, seen));
+  sim_.spawn(write_across_partition(*client, net_, /*via_alias=*/false));
+  sim_.run_for(milliseconds(300));
+  EXPECT_EQ(seen.got, "before");
+  EXPECT_TRUE(seen.hung) << "the FIN crossed the partition";
+  EXPECT_EQ(net_.messages_dropped(), 2u);  // "after" and the FIN
+}
+
+TEST_F(FailureTest, Dup2AliasOfAPartitionedConnectionDropsToo) {
+  auto server = net_.spawn_process("node1", "server");
+  auto client = net_.spawn_process("node2", "client");
+  PartitionedServer seen;
+  sim_.spawn(partitioned_server(*server, seen));
+  sim_.spawn(write_across_partition(*client, net_, /*via_alias=*/true));
+  sim_.run_for(milliseconds(300));
+  EXPECT_EQ(seen.got, "before");
+  EXPECT_TRUE(seen.hung) << "the FIN crossed the partition";
+  // Closing the original fd is no real close while the alias holds the
+  // socket; the alias's close sends the one FIN, which is lost.
+  EXPECT_EQ(net_.messages_dropped(), 2u);
+}
+
+TEST_F(FailureTest, CrashAcrossAPartitionLosesTheReset) {
+  auto server = net_.spawn_process("node1", "server");
+  auto client = net_.spawn_process("node2", "client");
+  PartitionedServer seen;
+  auto client_main = [](Process& p) -> sim::Task<void> {
+    auto fd = co_await p.api().connect(Endpoint{"node1", 5000});
+    if (fd) (void)co_await p.api().writev(fd.value(), to_bytes("before"));
+    (void)co_await p.sleep(seconds(1));
+  };
+  sim_.spawn(partitioned_server(*server, seen));
+  sim_.spawn(client_main(*client));
+  sim_.schedule(milliseconds(10), [&] {
+    net_.set_link_partitioned("node1", "node2", true);
+    client->kill();
+  });
+  sim_.run_for(milliseconds(300));
+  EXPECT_EQ(seen.got, "before");
+  EXPECT_TRUE(seen.hung) << "the reset crossed the partition";
+  EXPECT_EQ(net_.messages_dropped(), 1u);
+}
+
 }  // namespace
 }  // namespace mead::net
