@@ -91,7 +91,7 @@ int main() {
                                static_cast<double>(spec.groups.size())
                          : 0;
     std::printf("%-10s %-8zu %-7zu %12llu %12llu %10.1f %14.0f %16.0f\n",
-                spec.gc_plane.any() ? "scaled" : "legacy", spec.groups.size(),
+                spec.gc_plane.sharded ? "scaled" : "legacy", spec.groups.size(),
                 spec.topology.nodes.size(),
                 static_cast<unsigned long long>(r.total_invocations()),
                 static_cast<unsigned long long>(r.sim_events), r.wall_ms, eps,

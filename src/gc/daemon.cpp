@@ -10,6 +10,14 @@ namespace mead::gc {
 
 namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr Duration kConnectRetry = milliseconds(10);
+// Scaled plane: a destination's pending batch flushes at whichever cap it
+// reaches first, or kBatchFlush (δt) after its first frame.
+constexpr std::size_t kBatchMaxFrames = 16;
+constexpr std::size_t kBatchMaxBytes = 8 * 1024;
+constexpr Duration kBatchFlush = microseconds(200);
+// Rejoin-probe backoff cap, as a multiple of the base (one heartbeat).
+constexpr std::int64_t kRejoinProbeMaxFactor = 8;
 }
 
 GcDaemon::GcDaemon(net::ProcessPtr proc, DaemonConfig cfg)
@@ -33,11 +41,12 @@ GcDaemon::GcDaemon(net::ProcessPtr proc, DaemonConfig cfg)
 
 bool GcDaemon::mesh_ready() const {
   // Counts the other daemons that are linked, dead, or missing-link peers
-  // (reachable bridged, relayed through a linked peer). peer_fds_ keys are
-  // valid peer ids (kPeerHello checks), so only the small sets are scanned.
+  // (reachable bridged, relayed through a linked peer). Every id in these
+  // sets is a valid daemon id (handle_frame drops out-of-mesh ids), so only
+  // the small sets are scanned.
   const std::size_t n = cfg_.daemon_hosts.size();
   auto unlinked_peer = [&](std::uint64_t i) {
-    return i < n && i != cfg_.self_index && !peer_fds_.contains(i);
+    return i != cfg_.self_index && !peer_fds_.contains(i);
   };
   std::size_t reachable = peer_fds_.size();
   for (std::uint64_t i : dead_daemons_) {
@@ -107,7 +116,7 @@ std::uint64_t GcDaemon::sequencer_id() const {
 }
 
 std::uint64_t GcDaemon::stamper_for(const GroupSlot& s) const {
-  if (!cfg_.plane.shard_sequencers || alive_daemons_.empty()) {
+  if (!cfg_.plane.sharded || alive_daemons_.empty()) {
     return sequencer_id();
   }
   // The group key's FNV-1a hash reduced over the alive set: a pure function
@@ -191,7 +200,7 @@ sim::Task<void> GcDaemon::mesh_connect_loop() {
       }
       if (r.error() == net::NetErr::kProcessDead) co_return;
       {
-        const bool alive_after_wait = co_await proc_->sleep(cfg_.connect_retry);
+        const bool alive_after_wait = co_await proc_->sleep(kConnectRetry);
         if (!alive_after_wait) co_return;
       }
     }
@@ -209,22 +218,18 @@ sim::Task<void> GcDaemon::mesh_connect_loop() {
 }
 
 sim::Task<void> GcDaemon::heartbeat_loop() {
-  // In sharded mode the beacon is a kSeqWatermark instead of a plain
+  // On the scaled plane the beacon is a kSeqWatermark instead of a plain
   // heartbeat: same liveness role (any peer frame refreshes
   // peer_last_seen_), plus it carries the stamping frontier that
   // disinterested daemons and takeover heirs ratchet against.
-  const bool sharded = cfg_.plane.shard_sequencers;
-  const Duration interval =
-      sharded && cfg_.plane.watermark_interval > Duration{0}
-          ? cfg_.plane.watermark_interval
-          : cfg_.heartbeat_interval;
   for (;;) {
     {
-      const bool alive_after_wait = co_await proc_->sleep(interval);
+      const bool alive_after_wait =
+          co_await proc_->sleep(cfg_.heartbeat_interval);
       if (!alive_after_wait) co_return;
     }
     direct_broadcast(
-        sharded
+        cfg_.plane.sharded
             ? encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_})
             : encode_heartbeat(HeartbeatMsg{cfg_.self_index}));
   }
@@ -239,15 +244,14 @@ void GcDaemon::spawn_write(int fd, Bytes data) {
 }
 
 void GcDaemon::mesh_send(int fd, const Bytes& frame) {
-  if (!cfg_.plane.batching) {
+  if (!cfg_.plane.sharded) {
     spawn_write(fd, frame);
     return;
   }
   Batch& b = batches_[fd];
   append_bytes(b.buf, frame);
   ++b.frames;
-  if (b.frames >= cfg_.plane.batch_max_frames ||
-      b.buf.size() >= cfg_.plane.batch_max_bytes) {
+  if (b.frames >= kBatchMaxFrames || b.buf.size() >= kBatchMaxBytes) {
     flush_batch(fd);
     return;
   }
@@ -260,7 +264,7 @@ void GcDaemon::mesh_send(int fd, const Bytes& frame) {
 void GcDaemon::direct_send(int fd, Bytes data) {
   // Flush the fd's pending batch first so control frames never overtake
   // the ordered traffic batched ahead of them (per-link FIFO).
-  if (cfg_.plane.batching) flush_batch(fd);
+  if (cfg_.plane.sharded) flush_batch(fd);
   spawn_write(fd, std::move(data));
 }
 
@@ -291,7 +295,7 @@ void GcDaemon::flush_batch(int fd) {
 }
 
 sim::Task<void> GcDaemon::batch_flush_task(int fd, std::uint64_t epoch) {
-  const bool alive = co_await proc_->sleep(cfg_.plane.batch_flush);
+  const bool alive = co_await proc_->sleep(kBatchFlush);
   if (!alive) co_return;
   auto it = batches_.find(fd);
   if (it == batches_.end() || it->second.epoch != epoch) co_return;
@@ -331,6 +335,10 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
   // A kPeer link's id is a valid daemon id: kPeerHello checked it.
   if (st.role == ConnState::Role::kPeer) {
     peer_last_seen_[st.peer_id] = proc_->sim().now();
+  } else if (frame.op > Op::kPeerHello) {
+    // Mesh ops travel only on peer links, and every peer link opens with
+    // kPeerHello: from a client or unintroduced link they are ignored.
+    return;
   }
 
   switch (frame.op) {
@@ -369,8 +377,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
     }
     case Op::kPeerHello: {
       auto m = decode_peer_hello(frame.payload);
-      if (!m || m->daemon_id >= cfg_.daemon_hosts.size() ||
-          m->daemon_id == cfg_.self_index) {
+      if (!m || !in_mesh(m->daemon_id) || m->daemon_id == cfg_.self_index) {
         return;
       }
       st.role = ConnState::Role::kPeer;
@@ -438,7 +445,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
     }
     case Op::kSeqWatermark: {
       auto m = decode_seq_watermark(frame.payload);
-      if (!m) return;
+      if (!m || !in_mesh(m->daemon_id)) return;
       // Ratchet: our counter never falls below any peer's announced
       // frontier, so whichever daemon inherits a group on the next alive-set
       // change already stamps above everything its previous owner issued.
@@ -457,7 +464,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
     }
     case Op::kBridge: {
       auto m = decode_bridge(frame.payload);
-      if (!m) return;
+      if (!m || !in_mesh(m->daemon_id)) return;
       if (m->on) {
         bridge_targets_.insert(m->daemon_id);
       } else {
@@ -530,9 +537,9 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
   broadcast_bytes_.add(wire.size());
   obs.emit(obs::EventKind::kGcBroadcast, "daemon/" + std::to_string(id()),
            m.group, static_cast<double>(wire.size()));
-  if (cfg_.plane.shard_sequencers) shard_stamped_.add();
+  if (cfg_.plane.sharded) shard_stamped_.add();
 
-  bool scoped = cfg_.plane.interest_scoped && m.kind == PayloadKind::kData;
+  bool scoped = cfg_.plane.sharded && m.kind == PayloadKind::kData;
   std::set<std::uint64_t> interested;
   if (scoped) {
     // The interest set: every daemon hosting a member of the group, plus
@@ -591,15 +598,15 @@ void GcDaemon::write_to_local(const std::vector<std::string>& members,
 
 bool GcDaemon::handle_ordered(const OrderedMsg& m, GroupSlot& s) {
   // At-least-once dedupe: msg ids are strictly increasing and FIFO along
-  // each stamping path, so a high-water mark per path suffices. Legacy mode
-  // has one path per origin (everything crosses the one sequencer); sharded
-  // mode has one per (group, origin) — see GroupSlot::done.
-  DoneMarks& marks = cfg_.plane.shard_sequencers ? s.done : done_msg_ids_;
-  auto mark = std::find_if(marks.begin(), marks.end(),
+  // each (group, origin) stamping path, so a high-water mark per path
+  // suffices (see GroupSlot::done). On the legacy plane every message
+  // crosses the one sequencer, so ids are FIFO per origin and thus per
+  // (group, origin) too.
+  auto mark = std::find_if(s.done.begin(), s.done.end(),
                            [&](const auto& e) { return e.first == m.origin; });
-  if (mark == marks.end()) {
-    marks.emplace_back(m.origin, 0);
-    mark = std::prev(marks.end());
+  if (mark == s.done.end()) {
+    s.done.emplace_back(m.origin, 0);
+    mark = std::prev(s.done.end());
   }
   if (m.msg_id <= mark->second) return false;
   mark->second = m.msg_id;
@@ -680,7 +687,7 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
   pending_merge_.erase(peer_id);
   peer_fds_.erase(peer_id);
 
-  if (cfg_.plane.shard_sequencers) {
+  if (cfg_.plane.sharded) {
     // Sharded takeover: every daemon ratchets past the dead peer's last
     // announced stamping frontier (plus the takeover jump), so whichever
     // daemon the hash now assigns each of its groups to already stamps
@@ -736,10 +743,8 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
 }
 
 sim::Task<void> GcDaemon::rejoin_probe_loop() {
-  const Duration base = cfg_.rejoin_probe > Duration{0} ? cfg_.rejoin_probe
-                                                        : cfg_.heartbeat_interval;
-  const Duration cap =
-      cfg_.rejoin_probe_max > Duration{0} ? cfg_.rejoin_probe_max : base * 8;
+  const Duration base = cfg_.heartbeat_interval;
+  const Duration cap = base * kRejoinProbeMaxFactor;
   auto& probes = proc_->sim().obs().metrics().counter("gc.rejoin_probes");
   // The higher-indexed side of each severed pair dials: the expelled
   // daemon probing back toward the (lower-indexed) sequencer. This mirrors
@@ -866,14 +871,13 @@ void GcDaemon::bump_seq_past(std::uint64_t foreign_next_seq) {
 void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  const ConnState& st = it->second;
-  const bool relayed =
-      st.role == ConnState::Role::kPeer && st.peer_id != m.daemon_id;
-  if (relayed) {
+  // Only peer links reach here (handle_frame), so a sender other than the
+  // rejoiner is a relay.
+  if (it->second.peer_id != m.daemon_id) {
     // A peer forwarded a rejoiner's request because we sequence: only the
     // sequence-domain bump applies here — the link (and the snapshot reply)
     // belong to the relaying daemon.
-    if (cfg_.plane.shard_sequencers || is_sequencer()) bump_seq_past(m.next_seq);
+    if (cfg_.plane.sharded || is_sequencer()) bump_seq_past(m.next_seq);
     return;
   }
   if (dead_daemons_.contains(m.daemon_id)) resurrect_peer(m.daemon_id, fd);
@@ -890,9 +894,9 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
   if (authority) {
     // The rejoiner's island merges into our domain.
     pending_merge_.erase(m.daemon_id);
-    if (cfg_.plane.shard_sequencers) {
-      // Every daemon stamps in sharded mode: bump ourselves and beacon the
-      // bumped frontier so the rest of our island ratchets too (the
+    if (cfg_.plane.sharded) {
+      // Every daemon stamps on the scaled plane: bump ourselves and beacon
+      // the bumped frontier so the rest of our island ratchets too (the
       // periodic watermark would get there anyway; this closes the gap).
       bump_seq_past(m.next_seq);
       direct_broadcast(
@@ -944,7 +948,7 @@ void GcDaemon::adopt_alive_set(const std::vector<std::uint64_t>& alive,
                                int source_fd) {
   bool changed = false;
   for (std::uint64_t a : alive) {
-    if (a == cfg_.self_index) continue;
+    if (a == cfg_.self_index || !in_mesh(a)) continue;
     // The sender vouches these daemons are merged into the domain we now
     // share with it, so they stop being pending arrivals.
     pending_merge_.erase(a);
@@ -976,7 +980,7 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
   // Adopt the authority's group state wholesale, and keep our own stamps
   // above its domain in case we are (or become) the merged sequencer.
   bump_seq_past(m.next_seq);
-  if (cfg_.plane.shard_sequencers) {
+  if (cfg_.plane.sharded) {
     // Our island-mates only hear about the merge via kAliveSet, which
     // carries no counter; beacon the bumped frontier so they ratchet now
     // rather than one watermark interval from now.

@@ -19,8 +19,8 @@
 //    (§5.2.1). Daemon-daemon failures are detected the same way, with the
 //    surviving sequencer expelling members hosted on the dead daemon.
 //  * At-least-once submission: a daemon retains submissions until it sees
-//    them ordered; on sequencer takeover it resubmits, and per-origin msg
-//    ids make delivery idempotent.
+//    them ordered; on sequencer takeover it resubmits, and per-(group,
+//    origin) msg ids make delivery idempotent.
 //
 // Known divergence from Spread: messages in flight during a sequencer crash
 // may be ordered differently by the successor (Spread's token protocol is
@@ -47,39 +47,24 @@ namespace mead::gc {
 
 inline constexpr std::uint16_t kDefaultDaemonPort = 4803;
 
-/// Scaled GC-plane options (DESIGN.md §3.8). Everything defaults OFF: the
-/// legacy single-sequencer broadcast plane is the reference configuration
-/// and its seed traces stay byte-identical.
+/// The GC plane (DESIGN.md §3.8): one choice between two configurations.
+/// Default constructed is the legacy single-sequencer broadcast plane — the
+/// paper plane, whose seed traces stay byte-identical; `scaled()` is the
+/// scale plane.
 struct PlaneOptions {
   PlaneOptions() = default;
 
-  /// Partition the stamping role across live daemons by a pure hash of the
-  /// group key over the alive set (instead of one global sequencer). Total
-  /// order stays per-group; cross-group order becomes daemon-local.
-  bool shard_sequencers = false;
-  /// Forward stamped kData frames only to daemons that host a member of
-  /// the group (plus the origin). Membership frames stay broadcast so
-  /// group state remains globally replicated.
-  bool interest_scoped = false;
-  /// Coalesce mesh writes per destination into size/δt-bounded kFrameBatch
-  /// frames. Client-bound and control frames are never batched.
-  bool batching = false;
-  std::size_t batch_max_frames = 16;
-  std::size_t batch_max_bytes = 8 * 1024;
-  Duration batch_flush = microseconds(200);
-  /// Beacon period for kSeqWatermark in sharded mode (zero = use
-  /// heartbeat_interval; the watermark then replaces the heartbeat).
-  Duration watermark_interval{0};
+  /// Scale plane: stamping is partitioned across live daemons by a pure
+  /// hash of the group key (total order stays per-group; cross-group order
+  /// becomes daemon-local), stamped kData frames go only to daemons hosting
+  /// a member of the group (plus the origin; membership frames stay
+  /// broadcast), and mesh writes coalesce per destination into bounded
+  /// kFrameBatch frames. Off: one global sequencer broadcasts everything.
+  bool sharded = false;
 
-  [[nodiscard]] bool any() const {
-    return shard_sequencers || interest_scoped || batching;
-  }
-  /// Everything on — the configuration the scale benches run.
   static PlaneOptions scaled() {
     PlaneOptions p;
-    p.shard_sequencers = true;
-    p.interest_scoped = true;
-    p.batching = true;
+    p.sharded = true;
     return p;
   }
 };
@@ -92,7 +77,6 @@ struct DaemonConfig {
   std::size_t self_index = 0;
   std::uint16_t port = kDefaultDaemonPort;
   Duration heartbeat_interval = milliseconds(500);
-  Duration connect_retry = milliseconds(10);
   /// Member-death detection latency, bimodal like Spread's: with
   /// probability (1 - detect_slow_probability) a fast uniform
   /// [detect_min, detect_max] draw; otherwise a slow uniform
@@ -103,17 +87,7 @@ struct DaemonConfig {
   double detect_slow_probability = 0.0;
   Duration detect_slow_min{0};
   Duration detect_slow_max{0};
-  /// Mesh re-formation after a partition heals: once a peer daemon has been
-  /// declared dead, the higher-indexed side of each severed pair re-probes
-  /// it (the expelled daemon probing back toward the sequencer) with
-  /// exponential backoff. `rejoin_probe` is the base interval (zero = one
-  /// heartbeat interval) and `rejoin_probe_max` the backoff cap (zero =
-  /// 8x the base). The probe coroutine is only spawned on the first peer
-  /// death, so fault-free runs schedule nothing.
-  Duration rejoin_probe{0};
-  Duration rejoin_probe_max{0};
-  /// Scaled GC plane (sharding / interest scoping / batching). Default
-  /// constructed = all off = the legacy byte-identical plane.
+  /// Legacy (default) or scaled GC plane.
   PlaneOptions plane;
 };
 
@@ -175,10 +149,11 @@ class GcDaemon {
     /// handle_state_sync rebuilds groups_ and re-points every slot.
     GroupState* state = nullptr;
     std::uint64_t stamper_hash = 0;  // FNV-1a of the name (stamper_for)
-    /// Sharded-mode dedupe: one origin's messages for different groups
-    /// travel through different stampers, so only per-(group, origin) msg
-    /// ids are FIFO — a single per-origin high-water mark would drop the
-    /// earlier of two cross-group messages whenever their broadcasts raced.
+    /// Dedupe marks, per (group, origin) on both planes. With sharded
+    /// stampers one origin's messages for different groups take different
+    /// paths, so only per-(group, origin) msg ids are FIFO — a single
+    /// per-origin high-water mark would drop the earlier of two cross-group
+    /// messages whenever their broadcasts raced.
     DoneMarks done;
   };
   struct NameHash {
@@ -194,6 +169,11 @@ class GcDaemon {
   /// is known dead). Client submissions are buffered until then, so no
   /// daemon ever orders messages into a half-formed mesh.
   [[nodiscard]] bool mesh_ready() const;
+  /// Whether `id` names a configured daemon. Ids from the wire are checked
+  /// before they reach any per-daemon state.
+  [[nodiscard]] bool in_mesh(std::uint64_t id) const {
+    return id < cfg_.daemon_hosts.size();
+  }
   /// The interned slot of `name`, created on first sight.
   GroupSlot& slot(std::string_view name);
 
@@ -208,7 +188,9 @@ class GcDaemon {
                                        std::vector<std::string> groups);
   /// Redials dead lower-indexed peers until every one is either back up or
   /// confirmed crashed (connection refused — in this world a daemon process
-  /// never restarts, so refusal is permanent).
+  /// never restarts, so refusal is permanent). Rounds back off exponentially
+  /// from one heartbeat interval up to 8x that. Spawned only on the first
+  /// peer death, so fault-free runs schedule nothing.
   sim::Task<void> rejoin_probe_loop();
 
   void on_peer_link_up();
@@ -250,9 +232,7 @@ class GcDaemon {
   void route_submit(OrderedMsg m, int from_fd);
   void stamp_and_dispatch(OrderedMsg m, GroupSlot& s);
   /// Applies `m` unless already applied; returns whether it was fresh.
-  /// Dedupe is a high-water mark per origin in legacy mode (one sequencer
-  /// means one FIFO path per origin) and per (group, origin) when
-  /// sequencers are sharded (FIFO only holds within a group's stamper path).
+  /// Dedupe is a high-water mark per (group, origin): see GroupSlot::done.
   bool handle_ordered(const OrderedMsg& m, GroupSlot& s);
   /// Writes `encode()` to every local member of `members`, encoding only
   /// if one exists; the last write takes the buffer instead of a copy.
@@ -269,8 +249,8 @@ class GcDaemon {
   void flush_batch(int fd);
   sim::Task<void> batch_flush_task(int fd, std::uint64_t epoch);
   [[nodiscard]] std::uint64_t sequencer_id() const;
-  /// The daemon that stamps `group`: the global sequencer in legacy mode,
-  /// or FNV-1a(group) over the alive set when sequencers are sharded.
+  /// The daemon that stamps `group`: the global sequencer on the legacy
+  /// plane, or FNV-1a(group) over the alive set on the scaled plane.
   [[nodiscard]] std::uint64_t stamper_for(const GroupSlot& s) const;
 
   net::ProcessPtr proc_;
@@ -317,7 +297,7 @@ class GcDaemon {
   std::uint64_t rejoins_ = 0;
   std::vector<TimePoint> rejoin_probe_times_;
 
-  // per-destination write coalescing (plane.batching)
+  // per-destination write coalescing (scaled plane)
   struct Batch {
     Bytes buf;                // concatenated encoded frames
     std::size_t frames = 0;
@@ -329,14 +309,13 @@ class GcDaemon {
   // ordering state
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_msg_id_ = 1;
-  /// Last kSeqWatermark per peer (sharded mode): the takeover floor used
+  /// Last kSeqWatermark per peer (scaled plane): the takeover floor used
   /// when a shard owner dies.
   std::map<std::uint64_t, std::uint64_t> peer_watermarks_;
   /// Ours, not yet seen ordered, by msg id (so in submission order); a
   /// delivery retires its entry by key (sharded ids are not FIFO).
   std::map<std::uint64_t, OrderedMsg> pending_;
   std::deque<OrderedMsg> stamp_wait_;   // foreign submits awaiting mesh
-  DoneMarks done_msg_ids_;  // legacy-mode dedupe, per origin
   std::uint64_t delivered_count_ = 0;
 
   /// Name-ordered: iterated where the order is observable (leave

@@ -27,7 +27,8 @@ enum class Op : std::uint8_t {
   // daemon -> client
   kDeliver = 10,  // ordered message delivery
   kView = 11,     // membership change notification
-  // daemon <-> daemon (mesh)
+  // daemon <-> daemon (mesh); every op after kPeerHello is accepted only on
+  // a link that kPeerHello introduced
   kPeerHello = 20,  // daemon id handshake
   kSubmit = 21,     // forward a message to the sequencer for ordering
   kOrdered = 22,    // sequencer-stamped message, broadcast to all daemons

@@ -2,12 +2,90 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "gc_fixture.h"
 
 namespace mead::gc {
 namespace {
 
-class GcDaemonTest : public GcWorld {};
+class GcDaemonTest : public GcWorld {
+ protected:
+  explicit GcDaemonTest(PlaneOptions plane = {}) : GcWorld(3, 1, plane) {}
+
+  /// A rogue client on node1 sends mesh-only frames over client links to the
+  /// node1 and node2 daemons: an alive set naming daemon 99, and a forged
+  /// ordered frame with a huge msg id for (g0, node1's daemon). Then m1 on
+  /// node1 multicasts once into each of eight groups that m2 on node2
+  /// joined; each arrives once, and the forged frame never does.
+  void expect_client_link_injection_ignored() {
+    std::vector<std::string> groups;
+    for (int i = 0; i < 8; ++i) groups.push_back("g" + std::to_string(i));
+    auto sender = make_client("node1", "m1");
+    auto listener = make_client("node2", "m2");
+    std::map<std::string, std::vector<std::string>> got;
+    auto listen = [](GcClient& gc, std::vector<std::string> gs,
+                     std::map<std::string, std::vector<std::string>>& out)
+        -> sim::Task<void> {
+      for (const auto& g : gs) (void)co_await gc.join(g);
+      for (;;) {
+        auto ev = co_await gc.next_event(milliseconds(200));
+        if (!ev || !ev.value()) co_return;
+        if (ev.value()->kind == Event::Kind::kMessage) {
+          out[ev.value()->group].emplace_back(ev.value()->payload.begin(),
+                                              ev.value()->payload.end());
+        }
+      }
+    };
+    sim_.spawn(listen(*listener.gc, groups, got));
+    sim_.run_for(milliseconds(20));
+
+    auto rogue = net_.spawn_process("node1", "rogue");
+    auto inject = [](net::Process& p, std::string host,
+                     std::string name) -> sim::Task<void> {
+      auto fd = co_await p.api().connect(net::Endpoint{host, kDefaultDaemonPort});
+      if (!fd) co_return;
+      OrderedMsg forged;
+      forged.seq = 1u << 20;
+      forged.origin = 0;
+      forged.msg_id = 1'000'000;
+      forged.group = "g0";
+      forged.member = "m1";
+      forged.payload = Bytes{'x'};
+      for (const Bytes& wire :
+           {encode_hello(HelloMsg{std::move(name)}),
+            encode_alive_set(AliveSetMsg{{0, 1, 2, 99}}),
+            encode_ordered(forged)}) {
+        (void)co_await p.api().writev(fd.value(), wire);
+      }
+    };
+    sim_.spawn(inject(*rogue, "node1", "rogue1"));
+    sim_.spawn(inject(*rogue, "node2", "rogue2"));
+    sim_.run_for(milliseconds(20));
+
+    auto send = [](GcClient& gc, std::vector<std::string> gs) -> sim::Task<void> {
+      const Bytes body{'r'};
+      for (const auto& g : gs) (void)co_await gc.multicast(g, body);
+    };
+    sim_.spawn(send(*sender.gc, groups));
+    sim_.run_for(milliseconds(400));  // the listener times out and returns
+
+    for (const auto& d : daemons_) {
+      EXPECT_TRUE(d->missing_links().empty()) << "daemon " << d->id();
+    }
+    EXPECT_EQ(got.size(), groups.size());
+    for (const auto& [group, payloads] : got) {
+      EXPECT_EQ(payloads, std::vector<std::string>{"r"}) << group;
+    }
+  }
+};
+
+class ScaledDaemonTest : public GcDaemonTest {
+ protected:
+  ScaledDaemonTest() : GcDaemonTest(PlaneOptions::scaled()) {}
+};
 
 TEST_F(GcDaemonTest, MeshComesUpAndElectsSequencer) {
   EXPECT_TRUE(daemons_[0]->is_sequencer());
@@ -41,6 +119,42 @@ TEST_F(GcDaemonTest, PeerHelloWithAnInvalidDaemonIdIsIgnored) {
   for (auto& d : daemons_) {
     EXPECT_EQ(d->group_members("grp"), (std::vector<std::string>{"member-a"}));
   }
+}
+
+TEST_F(GcDaemonTest, MeshFramesFromAClientLinkAreIgnored) {
+  // Legacy plane: the forged frame would be delivered and its msg id would
+  // mark m1's real g0 message stale; the alive set would put the daemons
+  // in the bridged regime toward a daemon that does not exist.
+  expect_client_link_injection_ignored();
+}
+
+TEST_F(ScaledDaemonTest, MeshFramesFromAClientLinkAreIgnored) {
+  // Scaled plane: daemon 99 in the alive set would also own every group
+  // that hashes onto it, and submits for those groups would be dropped.
+  expect_client_link_injection_ignored();
+}
+
+TEST_F(GcDaemonTest, OutOfMeshIdsFromAPeerAreDropped) {
+  // Daemon ids index per-peer state, so ids outside the configured mesh in
+  // a peer's alive set or bridge request must not be believed. Daemon 2
+  // dies, and an impostor on its node takes its place as daemon 1's peer.
+  daemon_procs_[2]->kill();
+  sim_.run_for(milliseconds(20));
+  auto rogue = net_.spawn_process("node3", "rogue");
+  auto send = [](net::Process& p) -> sim::Task<void> {
+    auto fd = co_await p.api().connect(net::Endpoint{"node2", kDefaultDaemonPort});
+    if (!fd) co_return;
+    for (const Bytes& wire : {encode_peer_hello(PeerHelloMsg{2}),
+                              encode_alive_set(AliveSetMsg{{0, 1, 2, 99}}),
+                              encode_bridge(BridgeMsg{99, true})}) {
+      (void)co_await p.api().writev(fd.value(), wire);
+    }
+  };
+  sim_.spawn(send(*rogue));
+  sim_.run_for(milliseconds(10));
+  ASSERT_TRUE(daemons_[1]->peer_link_up(2));
+  EXPECT_TRUE(daemons_[1]->missing_links().empty());
+  EXPECT_FALSE(daemons_[1]->bridging_for(99));
 }
 
 TEST_F(GcDaemonTest, JoinPropagatesToAllDaemons) {

@@ -268,10 +268,18 @@ TEST_F(ShardedWorld, CrossGroupMessagesFromOneOriginAreEachDeliveredOnce) {
   // is delivered once; the same frame again is a duplicate and dropped, as
   // is a stale id. A lower id than the one just applied to `far` is still
   // fresh in `near`: the marks are per (group, origin).
+  //
+  // Ordered frames are accepted only on peer links, so the injector poses
+  // as daemon 0: it stamps neither group and hosts no member, so killing it
+  // first orders nothing, and the receiver takes the impostor's hello as
+  // daemon 0 coming back rather than superseding a live link.
+  daemon_procs_[0]->kill();
+  sim_.run_for(milliseconds(20));
   auto inject = [](net::Process& p, std::string host,
                    std::vector<OrderedMsg> msgs) -> sim::Task<void> {
     auto fd = co_await p.api().connect(net::Endpoint{host, kDefaultDaemonPort});
     if (!fd) co_return;
+    (void)co_await p.api().writev(fd.value(), encode_peer_hello(PeerHelloMsg{0}));
     for (const auto& m : msgs) {
       (void)co_await p.api().writev(fd.value(), encode_ordered(m));
     }
@@ -305,13 +313,18 @@ TEST_F(ShardedWorld, CrossGroupMessagesFromOneOriginAreEachDeliveredOnce) {
 }
 
 // A standalone (non-TEST_F) world so one test can run the same workload on
-// two planes and compare wire-frame counts. GcWorld is a gtest fixture, so
-// give it the TestBody the macro would normally supply.
+// both planes and compare them. GcWorld is a gtest fixture, so give it the
+// TestBody the macro would normally supply.
 struct ComparableWorld : GcWorld {
   explicit ComparableWorld(PlaneOptions plane) : GcWorld(5, 7, plane) {}
   void TestBody() override {}
 
-  /// Two-member group "duo", 30 messages each; returns gc.frames moved.
+  [[nodiscard]] const GcDaemon& daemon(std::size_t i) const {
+    return *daemons_[i];
+  }
+
+  /// Two-member group "duo" on node1/node2, 30 messages each; returns
+  /// gc.frames moved.
   std::uint64_t run_duo() {
     auto a = make_client("node1", "a");
     auto b = make_client("node2", "b");
@@ -329,14 +342,30 @@ struct ComparableWorld : GcWorld {
 TEST(InterestScopingTest, CutsFramesVsBroadcastForSameWorkload) {
   // Interest scoping pays off when daemons host nobody from the group:
   // a 5-daemon world where only two daemons have members. Same seed and
-  // workload on both planes; the scoped plane must move fewer daemon wire
+  // workload on both planes; the scaled plane must move fewer daemon wire
   // frames while delivering the same messages in the same order.
-  PlaneOptions scoped;
-  scoped.interest_scoped = true;
-  const std::uint64_t scoped_frames = ComparableWorld(scoped).run_duo();
-  const std::uint64_t bcast_frames = ComparableWorld({}).run_duo();
-  EXPECT_LT(scoped_frames, bcast_frames)
-      << "interest scoping moved no fewer frames than full broadcast";
+  ComparableWorld scaled(PlaneOptions::scaled());
+  ComparableWorld legacy({});
+  const std::uint64_t scaled_frames = scaled.run_duo();
+  const std::uint64_t bcast_frames = legacy.run_duo();
+  EXPECT_LT(scaled_frames, bcast_frames)
+      << "the scaled plane moved no fewer frames than full broadcast";
+  // Batching cuts frames too, so check the scoping itself: a daemon that
+  // hosts no member of duo and does not stamp it applies every membership
+  // frame (it knows the view) and none of the 60 data messages. The legacy
+  // plane applies everything everywhere.
+  ASSERT_EQ(scaled.daemon(0).group_members("duo").size(), 2u);
+  for (std::size_t d = 2; d < 5; ++d) {
+    if (d == stamper_of("duo")) continue;
+    EXPECT_EQ(scaled.daemon(d).group_members("duo"),
+              scaled.daemon(0).group_members("duo"));
+    EXPECT_EQ(scaled.daemon(d).messages_delivered() + 60,
+              scaled.daemon(0).messages_delivered())
+        << "daemon " << d;
+    EXPECT_EQ(legacy.daemon(d).messages_delivered(),
+              legacy.daemon(0).messages_delivered())
+        << "daemon " << d;
+  }
 }
 
 }  // namespace
