@@ -81,15 +81,13 @@ Bytes encode_ckpt(const C& c, const std::string& member, std::uint64_t nonce,
 }  // namespace
 
 Bytes encode_failover_frame(const FailoverMsg& m) {
-  CdrWriter w;
+  CdrWriter w = giop::message_writer(
+      giop::Magic::kMead, kFailoverType, giop::ByteOrder::kLittleEndian,
+      16 + m.target.host.size() + m.member.size());
   w.write_string(m.target.host);
   w.write_u16(m.target.port);
   w.write_string(m.member);
-  Bytes out = giop::encode_header(
-      giop::Header{giop::Magic::kMead, w.order(), kFailoverType,
-                   static_cast<std::uint32_t>(w.size())});
-  append_bytes(out, w.buffer());
-  return out;
+  return giop::finish_message(w);
 }
 
 std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame) {

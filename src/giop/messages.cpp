@@ -16,6 +16,11 @@ std::uint32_t swap32(std::uint32_t v) {
          ((v >> 24) & 0xFFu);
 }
 
+void put_body_size(Bytes& msg, ByteOrder order, std::uint32_t size) {
+  if (order != native_byte_order()) size = swap32(size);
+  std::memcpy(msg.data() + 8, &size, 4);
+}
+
 }  // namespace
 
 std::string_view to_string(ReplyStatus s) {
@@ -30,17 +35,32 @@ std::string_view to_string(ReplyStatus s) {
   return "?";
 }
 
+CdrWriter message_writer(Magic magic, MsgType type, ByteOrder order,
+                         std::size_t body_hint) {
+  CdrWriter w(order);
+  w.reserve(kHeaderSize + body_hint);
+  for (char c : magic == Magic::kGiop ? kGiopMagic : kMeadMagic) {
+    w.write_u8(static_cast<std::uint8_t>(c));
+  }
+  w.write_u8(kVersionMajor);
+  w.write_u8(kVersionMinor);
+  w.write_u8(order == ByteOrder::kLittleEndian ? 0x01 : 0x00);
+  w.write_u8(static_cast<std::uint8_t>(type));
+  w.write_u32(0);  // body size, filled in by finish_message
+  w.begin_stream();
+  return w;
+}
+
+Bytes finish_message(CdrWriter& w) {
+  Bytes out = w.take();
+  put_body_size(out, w.order(), static_cast<std::uint32_t>(out.size() - kHeaderSize));
+  return out;
+}
+
 Bytes encode_header(const Header& h) {
-  Bytes out(kHeaderSize, 0);
-  const char* magic = (h.magic == Magic::kGiop) ? kGiopMagic : kMeadMagic;
-  std::memcpy(out.data(), magic, 4);
-  out[4] = kVersionMajor;
-  out[5] = kVersionMinor;
-  out[6] = (h.order == ByteOrder::kLittleEndian) ? 0x01 : 0x00;
-  out[7] = static_cast<std::uint8_t>(h.type);
-  std::uint32_t size = h.body_size;
-  if (h.order != native_byte_order()) size = swap32(size);
-  std::memcpy(out.data() + 8, &size, 4);
+  CdrWriter w = message_writer(h.magic, h.type, h.order);
+  Bytes out = w.take();
+  put_body_size(out, h.order, h.body_size);
   return out;
 }
 
@@ -73,18 +93,16 @@ MsgResult<Header> decode_header(const Bytes& buf, std::size_t offset) {
 // ------------------------------------------------------------- Request
 
 Bytes encode_request(const RequestMessage& req, ByteOrder order) {
-  CdrWriter body(order);
-  body.write_u32(req.request_id);
-  body.write_u8(req.response_expected ? 0x03 : 0x00);  // response_flags
-  body.write_octet_seq(req.object_key.raw());          // target (KeyAddr)
-  body.write_string(req.operation);
-  body.write_u32(0);  // service context count
-  body.write_raw(req.args);
-
-  Bytes out = encode_header(Header{Magic::kGiop, order, MsgType::kRequest,
-                                   static_cast<std::uint32_t>(body.size())});
-  append_bytes(out, body.buffer());
-  return out;
+  CdrWriter w = message_writer(
+      Magic::kGiop, MsgType::kRequest, order,
+      28 + req.object_key.raw().size() + req.operation.size() + req.args.size());
+  w.write_u32(req.request_id);
+  w.write_u8(req.response_expected ? 0x03 : 0x00);  // response_flags
+  w.write_octet_seq(req.object_key.raw());          // target (KeyAddr)
+  w.write_string(req.operation);
+  w.write_u32(0);  // service context count
+  w.write_raw(req.args);
+  return finish_message(w);
 }
 
 MsgResult<RequestMessage> decode_request(const Bytes& msg) {
@@ -122,16 +140,13 @@ MsgResult<RequestMessage> decode_request(const Bytes& msg) {
 // --------------------------------------------------------------- Reply
 
 Bytes encode_reply(const ReplyMessage& rep, ByteOrder order) {
-  CdrWriter body(order);
-  body.write_u32(rep.request_id);
-  body.write_u32(static_cast<std::uint32_t>(rep.status));
-  body.write_u32(0);  // service context count
-  body.write_raw(rep.body);
-
-  Bytes out = encode_header(Header{Magic::kGiop, order, MsgType::kReply,
-                                   static_cast<std::uint32_t>(body.size())});
-  append_bytes(out, body.buffer());
-  return out;
+  CdrWriter w = message_writer(Magic::kGiop, MsgType::kReply, order,
+                               12 + rep.body.size());
+  w.write_u32(rep.request_id);
+  w.write_u32(static_cast<std::uint32_t>(rep.status));
+  w.write_u32(0);  // service context count
+  w.write_raw(rep.body);
+  return finish_message(w);
 }
 
 MsgResult<ReplyMessage> decode_reply(const Bytes& msg) {
@@ -205,7 +220,8 @@ MsgResult<IOR> reply_forward_ior(const ReplyMessage& rep) {
 }
 
 Bytes encode_close_connection(ByteOrder order) {
-  return encode_header(Header{Magic::kGiop, order, MsgType::kCloseConnection, 0});
+  CdrWriter w = message_writer(Magic::kGiop, MsgType::kCloseConnection, order);
+  return finish_message(w);
 }
 
 // --------------------------------------------------------- FrameBuffer

@@ -74,6 +74,12 @@ using MsgResult = Expected<T, MsgErr>;
 
 /// Encodes the 12-byte header. `magic` selects "GIOP" or "MEAD".
 Bytes encode_header(const Header& h);
+/// A writer holding a header, with the body's CDR stream starting behind
+/// it, so a message is encoded in one buffer of about `body_hint` more bytes.
+CdrWriter message_writer(Magic magic, MsgType type, ByteOrder order,
+                         std::size_t body_hint = 0);
+/// Takes the message out of `w` and fills in the header's body size.
+Bytes finish_message(CdrWriter& w);
 /// Decodes a 12-byte header from the front of `buf`.
 MsgResult<Header> decode_header(const Bytes& buf, std::size_t offset = 0);
 

@@ -19,13 +19,14 @@ void WaitSet::add(const WaiterPtr& w) {
 }
 
 void WaitSet::wake_all(sim::Simulator& sim) {
-  auto waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto& [w, epoch] : waiters) {
+  // Woken in place so the vector keeps its capacity for the next add():
+  // schedule() only queues the resumes, so nothing re-enters the set here.
+  for (auto& [w, epoch] : waiters_) {
     if (w->done || w->epoch != epoch) continue;
     w->done = true;
     sim.schedule(Duration{0}, [w] { w->handle.resume(); });
   }
+  waiters_.clear();
 }
 
 }  // namespace detail
@@ -42,11 +43,6 @@ Process::Process(Network& net, ProcessId id, NodeId node, std::string host,
 SocketApi& Process::api() { return *api_; }
 
 sim::Simulator& Process::sim() const { return net_.sim(); }
-
-sim::Task<bool> Process::sleep(Duration d) {
-  co_await net_.sim().sleep(d);
-  co_return alive_;
-}
 
 void Process::kill() {
   if (!alive_) return;

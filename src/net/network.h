@@ -179,9 +179,21 @@ class Process : public std::enable_shared_from_this<Process> {
 
   [[nodiscard]] sim::Simulator& sim() const;
 
-  /// Sleeps `d` of virtual time; returns false if the process was killed
+  /// Waits `d` as one resume event, then yields alive(); with `ready`
+  /// it neither suspends nor schedules anything.
+  struct SleepAwaiter {
+    Process* proc;
+    Duration d;
+    bool ready = false;
+    [[nodiscard]] bool await_ready() const noexcept { return ready; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      proc->sim().schedule(d, [h] { h.resume(); });
+    }
+    [[nodiscard]] bool await_resume() const noexcept { return proc->alive_; }
+  };
+  /// Sleeps `d` of virtual time; yields false if the process was killed
   /// while sleeping (callers must then unwind).
-  [[nodiscard]] sim::Task<bool> sleep(Duration d);
+  [[nodiscard]] SleepAwaiter sleep(Duration d) { return SleepAwaiter{this, d}; }
 
   /// The world this process lives in (fault controllers and supervisors
   /// use it to query node liveness and register crash observers).

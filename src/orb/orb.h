@@ -63,10 +63,10 @@ class Orb {
     return invoke_timeout_;
   }
 
-  /// Charges CPU time (virtual). Returns false if the process died.
-  [[nodiscard]] sim::Task<bool> charge(Duration d) {
-    if (d <= Duration{0}) co_return proc_.alive();
-    co_return co_await proc_.sleep(d);
+  /// Charges CPU time (virtual). Yields false if the process died; a
+  /// non-positive `d` completes at once and schedules nothing.
+  [[nodiscard]] net::Process::SleepAwaiter charge(Duration d) {
+    return net::Process::SleepAwaiter{&proc_, d, d <= Duration{0}};
   }
 
  private:

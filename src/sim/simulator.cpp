@@ -1,20 +1,56 @@
 #include "sim/simulator.h"
 
+#include <new>
+
+#include <sanitizer/asan_interface.h>
+
 namespace mead::sim {
 
 namespace {
+
+constexpr std::size_t kClasses = detail::FramePool::kMaxFrame / detail::FramePool::kGranule;
+constexpr std::size_t size_class(std::size_t n) { return (n - 1) / detail::FramePool::kGranule; }
+constexpr std::size_t block_size(std::size_t c) { return (c + 1) * detail::FramePool::kGranule; }
+
+/// One thread's frame free lists; a free block's first word links to the
+/// next. At thread exit the blocks are freed, and full counts send frames
+/// freed later in that exit to ::operator delete.
+struct FreeLists {
+  void* head[kClasses] = {};
+  std::size_t count[kClasses] = {};
+
+  FreeLists() = default;
+  FreeLists(const FreeLists&) = delete;
+  FreeLists& operator=(const FreeLists&) = delete;
+  ~FreeLists() {
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      while (void* b = pop(c)) ::operator delete(b);
+      count[c] = detail::FramePool::kCap;
+    }
+  }
+
+  void* pop(std::size_t c) {
+    void* b = head[c];
+    if (b == nullptr) return nullptr;
+    ASAN_UNPOISON_MEMORY_REGION(b, block_size(c));
+    head[c] = *static_cast<void**>(b);
+    --count[c];
+    return b;
+  }
+};
+
+thread_local FreeLists t_frames;
 
 // Root wrapper for detached coroutines. Its frame self-destructs on
 // completion and unregisters from the simulator; frames still suspended when
 // the Simulator dies are destroyed by ~Simulator.
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : detail::PromiseBase {
     Simulator* sim = nullptr;
 
     DetachedTask get_return_object() {
       return DetachedTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    [[nodiscard]] std::suspend_always initial_suspend() const noexcept { return {}; }
 
     struct FinalAwaiter {
       [[nodiscard]] bool await_ready() const noexcept { return false; }
@@ -28,7 +64,6 @@ struct DetachedTask {
     };
     [[nodiscard]] FinalAwaiter final_suspend() const noexcept { return {}; }
     void return_void() const noexcept {}
-    [[noreturn]] void unhandled_exception() const noexcept { std::terminate(); }
   };
 
   std::coroutine_handle<promise_type> handle;
@@ -39,6 +74,24 @@ DetachedTask run_detached(Task<void> inner) {
 }
 
 }  // namespace
+
+void* detail::FramePool::allocate(std::size_t n) {
+  if (n > kMaxFrame) return ::operator new(n);
+  if (void* b = t_frames.pop(size_class(n))) return b;
+  return ::operator new(block_size(size_class(n)));
+}
+
+void detail::FramePool::deallocate(void* p, std::size_t n) noexcept {
+  const std::size_t c = size_class(n);
+  if (n > kMaxFrame || t_frames.count[c] >= kCap) return ::operator delete(p);
+  t_frames.head[c] = ::new (p) void*(t_frames.head[c]);
+  ++t_frames.count[c];
+  ASAN_POISON_MEMORY_REGION(p, block_size(c));
+}
+
+std::size_t detail::FramePool::cached(std::size_t n) {
+  return n > kMaxFrame ? 0 : t_frames.count[size_class(n)];
+}
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
   logger_.set_clock([this] { return now_; });

@@ -11,16 +11,41 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 namespace mead::sim {
 
 namespace detail {
 
+/// Recycles coroutine frames through per-thread free lists in 16-byte size
+/// classes (malloc's own rounding, so a live frame wastes nothing), at
+/// most kCap blocks per class; frames above kMaxFrame and frees past the
+/// cap use ::operator new/delete. A frame freed on another thread joins
+/// that thread's lists. Free blocks are ASan-poisoned, so touching a
+/// destroyed frame is still reported.
+struct FramePool {
+  static constexpr std::size_t kGranule = 16;
+  static constexpr std::size_t kMaxFrame = 2048;
+  static constexpr std::size_t kCap = 16;
+
+  static void* allocate(std::size_t n);
+  static void deallocate(void* p, std::size_t n) noexcept;
+  /// Blocks this thread holds for frames of `n` bytes (0 above kMaxFrame).
+  [[nodiscard]] static std::size_t cached(std::size_t n);
+};
+
+/// Base of every promise type; its coroutine frames come from FramePool.
 struct PromiseBase {
   std::coroutine_handle<> continuation;
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
 
   struct FinalAwaiter {
     [[nodiscard]] bool await_ready() const noexcept { return false; }
@@ -38,21 +63,27 @@ struct PromiseBase {
   [[noreturn]] void unhandled_exception() const noexcept { std::terminate(); }
 };
 
+/// Holds a Task's result until its awaiter takes it.
+template <typename T>
+struct Promise : PromiseBase {
+  std::optional<T> value;
+  void return_value(T v) { value.emplace(std::move(v)); }
+};
+
+template <>
+struct Promise<void> : PromiseBase {
+  void return_void() const noexcept {}
+};
+
 }  // namespace detail
 
 template <typename T = void>
-class [[nodiscard]] Task;
-
-template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::Promise<T> {
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
   };
 
   Task() = default;
@@ -80,54 +111,11 @@ class [[nodiscard]] Task {
   }
   T await_resume() {
     assert(h_ && h_.done());
-    assert(h_.promise().value.has_value());
-    return std::move(*h_.promise().value);
-  }
-
- private:
-  void destroy() {
-    if (h_) {
-      h_.destroy();
-      h_ = {};
+    if constexpr (!std::is_void_v<T>) {
+      assert(h_.promise().value.has_value());
+      return std::move(*h_.promise().value);
     }
   }
-
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() const noexcept {}
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, {})) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      h_ = std::exchange(o.h_, {});
-    }
-    return *this;
-  }
-  ~Task() { destroy(); }
-
-  [[nodiscard]] bool valid() const { return static_cast<bool>(h_); }
-
-  [[nodiscard]] bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-    assert(h_ && !h_.done());
-    h_.promise().continuation = cont;
-    return h_;
-  }
-  void await_resume() const noexcept {}
 
  private:
   void destroy() {

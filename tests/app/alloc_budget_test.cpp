@@ -1,0 +1,76 @@
+// Heap allocations per invocation: a deterministic guard on the host cost
+// of the invocation path. Global operator new/delete are replaced with
+// counting versions, so this suite must not be built with ASan, which
+// supplies its own.
+//
+// The count covers launch_client() and run_to_completion(), the part of a
+// run whose cost grows with the invocation count; start() (world bring-up)
+// is excluded. A simulation is deterministic, so the count repeats exactly
+// for a given build.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "app/experiment.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace mead::app {
+namespace {
+
+// The ceiling per completed invocation. These schemes make 12-14 with
+// awaiter-based CPU charges, pooled coroutine frames and one-buffer GIOP
+// encoding, and 49-55 when each charge, wait and task takes a heap frame.
+constexpr double kMaxAllocationsPerInvocation = 30;
+constexpr int kInvocations = 2000;
+
+double allocations_per_invocation(core::RecoveryScheme scheme) {
+  ExperimentSpec spec;
+  spec.scheme = scheme;
+  spec.seed = 2004;
+  spec.invocations = kInvocations;
+  Experiment exp(spec);
+  EXPECT_TRUE(exp.start());
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  exp.launch_client();
+  exp.run_to_completion();
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t completed = exp.collect().total_invocations();
+  EXPECT_EQ(completed, static_cast<std::uint64_t>(kInvocations));
+  return completed == 0 ? 0
+                        : static_cast<double>(allocations) /
+                              static_cast<double>(completed);
+}
+
+TEST(AllocBudgetTest, ReactiveNoCacheStaysUnderBudget) {
+  const double per_invocation =
+      allocations_per_invocation(core::RecoveryScheme::kReactiveNoCache);
+  RecordProperty("allocations_per_invocation", std::to_string(per_invocation));
+  EXPECT_LE(per_invocation, kMaxAllocationsPerInvocation);
+}
+
+TEST(AllocBudgetTest, MeadMessageStaysUnderBudget) {
+  const double per_invocation =
+      allocations_per_invocation(core::RecoveryScheme::kMeadMessage);
+  RecordProperty("allocations_per_invocation", std::to_string(per_invocation));
+  EXPECT_LE(per_invocation, kMaxAllocationsPerInvocation);
+}
+
+}  // namespace
+}  // namespace mead::app

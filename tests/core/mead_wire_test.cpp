@@ -306,6 +306,16 @@ void expect_every_truncation_rejected(const Bytes& frame) {
   }
 }
 
+TEST(WireGoldenTest, FailoverFrameBytes) {
+  const FailoverMsg msg{net::Endpoint{"node2", 20002}, "replica/2"};
+  const Bytes frame = encode_failover_frame(msg);
+  EXPECT_EQ(frame, from_hex("4d454144010201001a000000060000006e6f64653200224e"
+                            "0a0000007265706c6963612f3200"));
+  auto decoded = decode_failover_frame(frame);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, msg);
+}
+
 TEST(WireGoldenTest, CkptDeltaBytesAcrossValuePads) {
   const std::pair<std::uint32_t, const char*> golden[] = {
       {0, "0b0a0000007265706c6963612f32000000887766554433221107000000000000"

@@ -209,6 +209,75 @@ TEST(ReplyStatusTest, Names) {
             "NEEDS_ADDRESSING_MODE");
 }
 
+// Golden bytes for each message kind in both byte orders, so any drift in
+// header layout, body alignment or size patching shows up here.
+
+Bytes from_hex(const std::string& hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+struct GoldenMessages {
+  ByteOrder order;
+  const char* request;
+  const char* reply;
+  const char* exception_reply;
+  const char* close;
+};
+
+constexpr GoldenMessages kGolden[] = {
+    {ByteOrder::kLittleEndian,
+     "47494f50010201001f0000000403020103000000030000004b45590004000000676574"
+     "0000000000aabbcc",
+     "47494f5001020101110000000700000000000000000000001122334455",
+     "47494f5001020101400000000900000002000000000000002300000049444c3a6f6d67"
+     "2e6f72672f434f5242412f434f4d4d5f4641494c5552453a312e300000000000000200"
+     "000001000000",
+     "47494f500102010500000000"},
+    {ByteOrder::kBigEndian,
+     "47494f50010200000000001f0102030403000000000000034b45590000000004676574"
+     "0000000000aabbcc",
+     "47494f5001020001000000110000000700000000000000001122334455",
+     "47494f5001020001000000400000000900000002000000002300000049444c3a6f6d67"
+     "2e6f72672f434f5242412f434f4d4d5f4641494c5552453a312e300000000000000200"
+     "000001000000",
+     "47494f500102000500000000"},
+};
+
+TEST(GiopGoldenTest, RequestBytes) {
+  for (const auto& g : kGolden) {
+    // A 3-byte key and "get" leave the u32s after them misaligned.
+    const RequestMessage req{0x01020304, true, ObjectKey{Bytes{0x4b, 0x45, 0x59}},
+                             "get", Bytes{0xAA, 0xBB, 0xCC}};
+    EXPECT_EQ(encode_request(req, g.order), from_hex(g.request));
+  }
+}
+
+TEST(GiopGoldenTest, ReplyBytes) {
+  for (const auto& g : kGolden) {
+    const ReplyMessage rep{7, ReplyStatus::kNoException,
+                           Bytes{0x11, 0x22, 0x33, 0x44, 0x55}};
+    EXPECT_EQ(encode_reply(rep, g.order), from_hex(g.reply));
+  }
+}
+
+TEST(GiopGoldenTest, ExceptionReplyBytes) {
+  for (const auto& g : kGolden) {
+    const ReplyMessage rep = make_system_exception_reply(
+        9, SystemException{SysExKind::kCommFailure, 2, CompletionStatus::kNo});
+    EXPECT_EQ(encode_reply(rep, g.order), from_hex(g.exception_reply));
+  }
+}
+
+TEST(GiopGoldenTest, CloseConnectionBytes) {
+  for (const auto& g : kGolden) {
+    EXPECT_EQ(encode_close_connection(g.order), from_hex(g.close));
+  }
+}
+
 // Property sweep: requests round-trip across byte orders and payload sizes.
 class RequestSweepTest
     : public ::testing::TestWithParam<std::tuple<ByteOrder, int>> {};

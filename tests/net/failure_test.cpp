@@ -81,6 +81,30 @@ TEST_F(FailureTest, SleepReportsDeath) {
   EXPECT_TRUE(reported_dead);
 }
 
+// Process::sleep is one resume event at its deadline, like
+// Simulator::sleep: a kill mid-sleep does not wake it early, and it then
+// yields false.
+TEST_F(FailureTest, KilledMidSleepWakesOnceAtItsDeadlineWithFalse) {
+  auto proc = net_.spawn_process("node1", "victim");
+  struct Seen {
+    bool alive = true;
+    std::uint64_t events = 0;
+    TimePoint at;
+  } seen;
+  auto main = [](Process& p, Seen& out) -> sim::Task<void> {
+    const std::uint64_t before = p.sim().events_processed();
+    out.alive = co_await p.sleep(milliseconds(10));
+    out.events = p.sim().events_processed() - before;
+    out.at = p.sim().now();
+  };
+  sim_.spawn(main(*proc, seen));
+  sim_.schedule(milliseconds(3), [&] { proc->kill(); });
+  sim_.run();
+  EXPECT_FALSE(seen.alive);
+  EXPECT_EQ(seen.events, 2u);  // the kill, then the one resume
+  EXPECT_EQ(seen.at, TimePoint{0} + milliseconds(10));
+}
+
 TEST_F(FailureTest, BlockedReadOnOwnSocketWakesWithErrorOnKill) {
   auto server = net_.spawn_process("node1", "server");
   auto client = net_.spawn_process("node2", "client");

@@ -269,5 +269,63 @@ TEST_F(OrbTest, ForwardLoopGivesUp) {
   EXPECT_EQ(ex->kind, giop::SysExKind::kTransient);
 }
 
+// Orb::charge is the CPU cost of every marshal and dispatch step, so it
+// is an awaiter: a zero charge completes inline and a positive one is one
+// resume event.
+TEST_F(OrbTest, ZeroChargeSchedulesNothingAndYieldsAlive) {
+  auto client = make_client("node2");
+  struct Seen {
+    bool alive = false;
+    std::uint64_t events = 0;
+    TimePoint start, at;
+  } seen;
+  auto run = [](Orb& orb, Seen& out) -> sim::Task<void> {
+    const std::uint64_t before = orb.sim().events_processed();
+    out.start = orb.sim().now();
+    out.alive = co_await orb.charge(Duration{0});
+    out.events = orb.sim().events_processed() - before;
+    out.at = orb.sim().now();
+  };
+  sim_.spawn(run(*client.orb, seen));
+  sim_.run();
+  EXPECT_TRUE(seen.alive);
+  EXPECT_EQ(seen.events, 0u);
+  EXPECT_EQ(seen.at, seen.start);
+}
+
+TEST_F(OrbTest, ZeroChargeOnADeadProcessYieldsFalse) {
+  auto client = make_client("node2");
+  client.proc->kill();
+  bool alive = true;
+  auto run = [](Orb& orb, bool& out) -> sim::Task<void> {
+    out = co_await orb.charge(Duration{0});
+  };
+  sim_.spawn(run(*client.orb, alive));
+  sim_.run();
+  EXPECT_FALSE(alive);
+}
+
+TEST_F(OrbTest, ChargeFiresExactlyOneEventAtNowPlusD) {
+  auto client = make_client("node2");
+  struct Seen {
+    bool alive = false;
+    std::uint64_t events = 0;
+    TimePoint start, at;
+  } seen;
+  auto run = [](Orb& orb, Seen& out) -> sim::Task<void> {
+    co_await orb.sim().sleep(microseconds(7));  // start off time zero
+    const std::uint64_t before = orb.sim().events_processed();
+    out.start = orb.sim().now();
+    out.alive = co_await orb.charge(microseconds(250));
+    out.events = orb.sim().events_processed() - before;
+    out.at = orb.sim().now();
+  };
+  sim_.spawn(run(*client.orb, seen));
+  sim_.run();
+  EXPECT_TRUE(seen.alive);
+  EXPECT_EQ(seen.events, 1u);
+  EXPECT_EQ(seen.at, seen.start + microseconds(250));
+}
+
 }  // namespace
 }  // namespace mead::orb
