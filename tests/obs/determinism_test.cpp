@@ -4,6 +4,7 @@
 // outside the virtual world.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -68,6 +69,103 @@ TEST(DeterminismTest, RegistrySuppliesTableOneCounters) {
   ASSERT_NE(metrics.find_series("client.rtt_ms"), nullptr);
   EXPECT_EQ(metrics.find_series("client.rtt_ms")->count(),
             r.client.invocations_completed);
+}
+
+// ---- Golden digests ----
+// FNV-1a-64 of a run's trace JSONL and metrics CSV, pinned for seed 2004.
+// A refactor that must not change behaviour (wire bytes, event order,
+// traces) leaves every digest here unchanged; a deliberate behaviour change
+// re-records them in its own commit.
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Digests {
+  std::uint64_t trace = 0;
+  std::uint64_t metrics = 0;
+};
+
+Digests digest_run(const ExperimentSpec& spec) {
+  Experiment exp(spec);
+  auto up = exp.start();
+  EXPECT_TRUE(up.ok()) << (up.ok() ? "" : up.error().reason);
+  exp.launch_client();
+  exp.run_to_completion();
+  // A wrapped ring would pin only the trace's tail.
+  EXPECT_EQ(exp.obs().trace().dropped(), 0u);
+  return {fnv1a64(exp.obs().trace().to_jsonl()),
+          fnv1a64(exp.obs().metrics().to_csv())};
+}
+
+void expect_digests(const ExperimentSpec& spec, Digests want) {
+  const Digests got = digest_run(spec);
+  EXPECT_EQ(got.trace, want.trace)
+      << "trace digest 0x" << std::hex << got.trace;
+  EXPECT_EQ(got.metrics, want.metrics)
+      << "metrics digest 0x" << std::hex << got.metrics;
+}
+
+/// The scaled GC plane on the bench_multigroup shape: 16 groups packed on
+/// a 50-node pool.
+ExperimentSpec scaled_spec() {
+  ExperimentSpec spec;
+  spec.seed = 2004;
+  spec.invocations = 150;
+  spec.topology = ClusterTopology::uniform(50);
+  for (int i = 0; i < 16; ++i) {
+    ServiceGroupSpec g;
+    if (i > 0) g.service = "Svc" + std::to_string(i);
+    spec.groups.push_back(std::move(g));
+  }
+  spec.gc_plane = gc::PlaneOptions::scaled();
+  return spec;
+}
+
+TEST(GoldenDigestTest, TableOneSchemes) {
+  struct Case {
+    core::RecoveryScheme scheme;
+    Digests want;
+  };
+  const Case cases[] = {
+      {core::RecoveryScheme::kReactiveNoCache,
+       {0x1684860b7c3e6af7, 0x765fb704e5862ff0}},
+      {core::RecoveryScheme::kReactiveCache,
+       {0xd3eba34eaab1bf27, 0x9a87008072937e8a}},
+      {core::RecoveryScheme::kNeedsAddressing,
+       {0x9b048ff83d6a315c, 0x5e2e8b0d2b98a583}},
+      {core::RecoveryScheme::kLocationForward,
+       {0xf5184c0db62d7af9, 0x6fcf17604ad52506}},
+      {core::RecoveryScheme::kMeadMessage,
+       {0xefce5689fc2185b7, 0xa0a39c80c0461373}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(core::to_string(c.scheme)));
+    ExperimentSpec spec = short_spec();
+    spec.scheme = c.scheme;
+    expect_digests(spec, c.want);
+  }
+}
+
+TEST(GoldenDigestTest, ScaledPlaneSixteenGroups) {
+  expect_digests(scaled_spec(), {0x1fdb47fefa89834c, 0x4ab1eadba1df72cd});
+}
+
+TEST(GoldenDigestTest, ScaledPlanePartitionAndHeal) {
+  // Isolating a worker expels its daemon (orphan leaves in name order);
+  // the heal merges it back through a state sync (the name-ordered
+  // snapshot) and its clients rejoin.
+  ExperimentSpec spec = scaled_spec();
+  spec.invocations = 300;
+  spec.calib.gc_heartbeat = milliseconds(20);  // silence detected in 60 ms
+  spec.invoke_timeout = milliseconds(30);
+  spec.chaos.partition(milliseconds(40), "node3").heal(milliseconds(150));
+  expect_digests(spec, {0xe1511212eb6296dc, 0xc6a0077ba758e746});
 }
 
 std::string slurp(const std::string& path) {
