@@ -104,5 +104,22 @@ int main() {
     }
   }
 
+  // ROADMAP item 2: host cost per simulated event should not grow with the
+  // group count (target <= 1.5x). Compares the last run (128 groups,
+  // scaled plane) with the first (1 group, legacy plane).
+  auto host_ns_per_event = [&](std::size_t i) {
+    return results[i].sim_events > 0
+               ? results[i].wall_ms * 1e6 /
+                     static_cast<double>(results[i].sim_events)
+               : 0.0;
+  };
+  const double base = host_ns_per_event(0);
+  const double top = host_ns_per_event(sweep.size() - 1);
+  std::printf("\nHost ns/event, %zu scaled groups / %zu legacy group: "
+              "%.1f / %.1f = %.2fx\n",
+              sweep.specs().back().groups.size(),
+              sweep.specs().front().groups.size(), top, base,
+              base > 0 ? top / base : 0.0);
+
   return sweep.finish();
 }

@@ -45,9 +45,9 @@ sim::Task<bool> ClientMead::redirect(int fd, net::Endpoint target) {
 
 sim::Task<std::optional<Bytes>> ClientMead::mask_abrupt_failure(int fd) {
   if (!gc_ || !gc_->connected()) co_return std::nullopt;
-  auto conn = server_conns_.find(fd);
-  if (conn == server_conns_.end()) co_return std::nullopt;
-  const std::uint32_t request_id = conn->second.last_request_id;
+  auto* conn = server_conns_.find(fd);
+  if (conn == nullptr) co_return std::nullopt;
+  const std::uint32_t request_id = conn->last_request_id;
 
   // Ask the server group who the next primary is (§4.2). The nonce keeps a
   // late answer to an earlier, timed-out query from masquerading as the
@@ -104,26 +104,26 @@ sim::Task<net::Result<int>> ClientMead::accept(int listen_fd) {
 sim::Task<net::Result<int>> ClientMead::connect(const net::Endpoint& remote) {
   auto fd = co_await inner_.connect(remote);
   if (fd && !infrastructure_port(remote.port)) {
-    server_conns_.emplace(fd.value(), ServerConn{});
+    server_conns_.try_emplace(fd.value());
   }
   co_return fd;
 }
 
 sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
                                                std::optional<Duration> timeout) {
-  auto conn = server_conns_.find(fd);
-  if (conn == server_conns_.end()) {
+  auto* conn = server_conns_.find(fd);
+  if (conn == nullptr) {
     co_return co_await inner_.read(fd, max_bytes, timeout);
   }
 
   for (;;) {
     conn = server_conns_.find(fd);
-    if (conn == server_conns_.end()) {
+    if (conn == nullptr) {
       co_return make_unexpected(net::NetErr::kBadFd);
     }
     // Serve buffered clean GIOP bytes first.
-    if (!conn->second.clean.empty()) {
-      Bytes& clean = conn->second.clean;
+    if (!conn->clean.empty()) {
+      Bytes& clean = conn->clean;
       const std::size_t n = std::min(max_bytes, clean.size());
       Bytes out(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(n));
       clean.erase(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(n));
@@ -160,14 +160,14 @@ sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
     }
 
     conn = server_conns_.find(fd);
-    if (conn == server_conns_.end()) {
+    if (conn == nullptr) {
       co_return make_unexpected(net::NetErr::kBadFd);
     }
-    conn->second.splitter.feed(data.value());
+    conn->splitter.feed(data.value());
     std::optional<net::Endpoint> redirect_to;
     std::string redirect_member;
     for (;;) {
-      auto frame = conn->second.splitter.next();
+      auto frame = conn->splitter.next();
       if (!frame) break;
       if (frame->header.magic == giop::Magic::kMead) {
         auto failover = decode_failover_frame(frame->data);
@@ -177,7 +177,7 @@ sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
         }
         continue;  // stripped: the ORB never sees MEAD frames
       }
-      append_bytes(conn->second.clean, frame->data);
+      append_bytes(conn->clean, frame->data);
     }
     if (redirect_to) {
       LogLine(proc_->sim().log(), LogLevel::kInfo, "mead")
@@ -196,8 +196,8 @@ sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
 }
 
 sim::Task<net::Result<std::size_t>> ClientMead::writev(int fd, Bytes data) {
-  auto conn = server_conns_.find(fd);
-  if (conn != server_conns_.end()) {
+  auto* conn = server_conns_.find(fd);
+  if (conn != nullptr) {
     // Track the last request id so a fabricated NEEDS_ADDRESSING reply can
     // reference it. Header peek only (cheap — not full GIOP parsing).
     auto header = giop::decode_header(data);
@@ -206,7 +206,7 @@ sim::Task<net::Result<std::size_t>> ClientMead::writev(int fd, Bytes data) {
         data.size() >= giop::kHeaderSize + 4) {
       giop::CdrReader r(data, header->order, giop::kHeaderSize);
       auto id = r.read_u32();
-      if (id) conn->second.last_request_id = id.value();
+      if (id) conn->last_request_id = id.value();
     }
   }
   co_return co_await inner_.writev(fd, std::move(data));

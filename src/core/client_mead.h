@@ -21,7 +21,6 @@
 // not the GC daemon port or the Naming Service port is application traffic.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -29,6 +28,7 @@
 #include "core/mead_wire.h"
 #include "gc/client.h"
 #include "giop/messages.h"
+#include "net/fd_table.h"
 #include "net/network.h"
 #include "net/socket_api.h"
 
@@ -99,7 +99,7 @@ class ClientMead final : public net::SocketApi {
   std::unique_ptr<gc::GcClient> gc_;
   Duration query_timeout_ = milliseconds(10);
   std::uint64_t query_nonce_ = 0;
-  std::map<int, ServerConn> server_conns_;
+  net::FdTable<ServerConn> server_conns_;
   Stats stats_;
 };
 

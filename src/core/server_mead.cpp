@@ -638,7 +638,7 @@ net::Result<int> ServerMead::listen(std::uint16_t port) {
 sim::Task<net::Result<int>> ServerMead::accept(int listen_fd) {
   auto fd = co_await inner_.accept(listen_fd);
   if (fd && listen_fd == orb_listen_fd_) {
-    client_conns_.emplace(fd.value(), ClientConn{});
+    client_conns_.try_emplace(fd.value());
   }
   co_return fd;
 }
@@ -650,8 +650,8 @@ sim::Task<net::Result<int>> ServerMead::connect(const net::Endpoint& remote) {
 sim::Task<net::Result<Bytes>> ServerMead::read(int fd, std::size_t max_bytes,
                                                std::optional<Duration> timeout) {
   auto data = co_await inner_.read(fd, max_bytes, timeout);
-  auto conn = client_conns_.find(fd);
-  if (conn == client_conns_.end() || !data || data->empty()) co_return data;
+  auto* conn = client_conns_.find(fd);
+  if (conn == nullptr || !data || data->empty()) co_return data;
 
   if (!first_request_seen_) {
     first_request_seen_ = true;
@@ -660,9 +660,9 @@ sim::Task<net::Result<Bytes>> ServerMead::read(int fd, std::size_t max_bytes,
   if (cfg_.scheme == RecoveryScheme::kLocationForward) {
     // §4.1: "parse incoming GIOP Request messages to extract the request_id
     // field" — the dominant source of this scheme's 90% RTT overhead.
-    conn->second.request_parser.feed(data.value());
+    conn->request_parser.feed(data.value());
     for (;;) {
-      auto frame = conn->second.request_parser.next();
+      auto frame = conn->request_parser.next();
       if (!frame) break;
       if (frame->header.magic != giop::Magic::kGiop ||
           frame->header.type != giop::MsgType::kRequest) {
@@ -674,11 +674,11 @@ sim::Task<net::Result<Bytes>> ServerMead::read(int fd, std::size_t max_bytes,
       if (!req) continue;
       ++stats_.requests_seen;
       conn = client_conns_.find(fd);
-      if (conn == client_conns_.end()) co_return data;
-      conn->second.last_request_id = req->request_id;
-      conn->second.last_key_hash = req->object_key.hash16();
+      if (conn == nullptr) co_return data;
+      conn->last_request_id = req->request_id;
+      conn->last_key_hash = req->object_key.hash16();
       if (app_state_ && cfg_.state.dedup_cap > 0) {
-        note_request_token(conn->second, *req);
+        note_request_token(*conn, *req);
       }
     }
   } else {
@@ -687,16 +687,16 @@ sim::Task<net::Result<Bytes>> ServerMead::read(int fd, std::size_t max_bytes,
       // Reply dedup needs the request token even when the scheme does not
       // otherwise parse GIOP; token extraction is a tail memcpy in the real
       // interceptor, so no parse cost is charged here.
-      conn->second.request_parser.feed(data.value());
+      conn->request_parser.feed(data.value());
       for (;;) {
-        auto frame = conn->second.request_parser.next();
+        auto frame = conn->request_parser.next();
         if (!frame) break;
         if (frame->header.magic != giop::Magic::kGiop ||
             frame->header.type != giop::MsgType::kRequest) {
           continue;
         }
         auto req = giop::decode_request(frame->data);
-        if (req) note_request_token(conn->second, *req);
+        if (req) note_request_token(*conn, *req);
       }
     }
   }
@@ -704,8 +704,8 @@ sim::Task<net::Result<Bytes>> ServerMead::read(int fd, std::size_t max_bytes,
 }
 
 sim::Task<net::Result<std::size_t>> ServerMead::writev(int fd, Bytes data) {
-  auto conn = client_conns_.find(fd);
-  if (conn == client_conns_.end()) {
+  auto* conn = client_conns_.find(fd);
+  if (conn == nullptr) {
     co_return co_await inner_.writev(fd, std::move(data));
   }
 
@@ -720,15 +720,15 @@ sim::Task<net::Result<std::size_t>> ServerMead::writev(int fd, Bytes data) {
         const bool alive = co_await proc_->sleep(cfg_.costs.lf_reply_process);
         if (!alive) co_return make_unexpected(net::NetErr::kProcessDead);
         conn = client_conns_.find(fd);
-        if (conn == client_conns_.end()) {
+        if (conn == nullptr) {
           co_return make_unexpected(net::NetErr::kBadFd);
         }
         // Validate the stored request against the target via the 16-bit
         // key hash (§4.1 optimization), then substitute the reply.
         auto reply = giop::decode_reply(data);
         const std::uint32_t request_id =
-            reply ? reply->request_id : conn->second.last_request_id;
-        auto target = registry_.lookup_by_key_hash(conn->second.last_key_hash,
+            reply ? reply->request_id : conn->last_request_id;
+        auto target = registry_.lookup_by_key_hash(conn->last_key_hash,
                                                    migrate_target_->member);
         const giop::IOR& fwd = target ? target->ior : migrate_target_->ior;
         Bytes substituted = giop::encode_reply(
@@ -739,8 +739,8 @@ sim::Task<net::Result<std::size_t>> ServerMead::writev(int fd, Bytes data) {
         co_return orig_size;  // the ORB believes its reply left intact
       }
       case RecoveryScheme::kMeadMessage: {
-        if (!conn->second.redirected) {
-          conn->second.redirected = true;
+        if (!conn->redirected) {
+          conn->redirected = true;
           ++stats_.failover_piggybacks;
           failover_piggybacks_.add();
           Bytes combined = encode_failover_frame(
@@ -764,10 +764,10 @@ sim::Task<net::Result<std::size_t>> ServerMead::writev(int fd, Bytes data) {
   if (app_state_ && !restoring_ && registry_.is_first(cfg_.member)) {
     bool duplicate = false;
     conn = client_conns_.find(fd);  // the sleeps above may have closed it
-    if (cfg_.state.dedup_cap > 0 && conn != client_conns_.end() &&
-        !conn->second.pending_tokens.empty()) {
-      const auto token = conn->second.pending_tokens.front();
-      conn->second.pending_tokens.pop_front();
+    if (cfg_.state.dedup_cap > 0 && conn != nullptr &&
+        !conn->pending_tokens.empty()) {
+      const auto token = conn->pending_tokens.front();
+      conn->pending_tokens.pop_front();
       if (dedup_set_.contains(token)) {
         // A retried request the old primary already applied (its cache
         // reached us with its checkpoints): serve the reply, skip the

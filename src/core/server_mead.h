@@ -23,7 +23,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -36,6 +35,7 @@
 #include "fault/fault.h"
 #include "gc/client.h"
 #include "giop/messages.h"
+#include "net/fd_table.h"
 #include "net/network.h"
 #include "net/socket_api.h"
 #include "obs/metrics.h"
@@ -207,7 +207,7 @@ class ServerMead final : public net::SocketApi {
   };
   std::vector<PendingQuery> pending_queries_;
 
-  std::map<int, ClientConn> client_conns_;
+  net::FdTable<ClientConn> client_conns_;
   TrendPredictor predictor_;  // adaptive-threshold extension (§6)
   bool first_request_seen_ = false;
   bool launch_requested_ = false;

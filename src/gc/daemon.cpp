@@ -68,8 +68,19 @@ GcDaemon::GroupSlot& GcDaemon::slot(std::string_view name) {
     s.stamper_hash ^= c;
     s.stamper_hash *= 1099511628211ull;
   }
-  // No groups_ entry exists yet: every one is entered through a slot.
   return slots_.emplace(std::string(name), std::move(s)).first->second;
+}
+
+template <typename Keep>
+std::vector<const GcDaemon::SlotMap::value_type*> GcDaemon::groups_by_name(
+    Keep keep) const {
+  std::vector<const SlotMap::value_type*> out;
+  for (const auto& entry : slots_) {
+    if (entry.second.present && keep(entry.second)) out.push_back(&entry);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
 }
 
 void GcDaemon::on_peer_link_up() {
@@ -130,13 +141,13 @@ std::uint64_t GcDaemon::stamper_for(const GroupSlot& s) const {
 }
 
 std::vector<std::string> GcDaemon::group_members(const std::string& group) const {
-  auto it = groups_.find(group);
-  return it == groups_.end() ? std::vector<std::string>{} : it->second.members;
+  auto it = slots_.find(group);
+  return it == slots_.end() ? std::vector<std::string>{} : it->second.members;
 }
 
 std::uint64_t GcDaemon::view_id(const std::string& group) const {
-  auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.view_id;
+  auto it = slots_.find(group);
+  return it == slots_.end() ? 0 : it->second.view_id;
 }
 
 void GcDaemon::start() {
@@ -180,7 +191,7 @@ sim::Task<void> GcDaemon::accept_loop(int listen_fd) {
   for (;;) {
     auto fd = co_await proc_->api().accept(listen_fd);
     if (!fd) co_return;  // daemon dying
-    conns_.emplace(fd.value(), ConnState{});
+    conns_.try_emplace(fd.value());
     proc_->sim().spawn(connection_loop(fd.value()));
   }
 }
@@ -208,7 +219,7 @@ sim::Task<void> GcDaemon::mesh_connect_loop() {
     ConnState st;
     st.role = ConnState::Role::kPeer;
     st.peer_id = peer;
-    conns_.emplace(fd, std::move(st));
+    conns_.try_emplace(fd, std::move(st));
     peer_fds_[peer] = fd;
     peer_last_seen_[peer] = proc_->sim().now();
     direct_send(fd, encode_peer_hello(PeerHelloMsg{cfg_.self_index}));
@@ -248,7 +259,7 @@ void GcDaemon::mesh_send(int fd, const Bytes& frame) {
     spawn_write(fd, frame);
     return;
   }
-  Batch& b = batches_[fd];
+  Batch& b = batches_.try_emplace(fd);
   append_bytes(b.buf, frame);
   ++b.frames;
   if (b.frames >= kBatchMaxFrames || b.buf.size() >= kBatchMaxBytes) {
@@ -276,9 +287,9 @@ void GcDaemon::direct_broadcast(const Bytes& wire, int skip_fd) {
 }
 
 void GcDaemon::flush_batch(int fd) {
-  auto it = batches_.find(fd);
-  if (it == batches_.end() || it->second.frames == 0) return;
-  Batch& b = it->second;
+  Batch* found = batches_.find(fd);
+  if (found == nullptr || found->frames == 0) return;
+  Batch& b = *found;
   const std::size_t n = b.frames;
   batch_frames_.add(n);
   if (n > 1) batch_coalesced_.add(n - 1);
@@ -297,8 +308,8 @@ void GcDaemon::flush_batch(int fd) {
 sim::Task<void> GcDaemon::batch_flush_task(int fd, std::uint64_t epoch) {
   const bool alive = co_await proc_->sleep(kBatchFlush);
   if (!alive) co_return;
-  auto it = batches_.find(fd);
-  if (it == batches_.end() || it->second.epoch != epoch) co_return;
+  const Batch* b = batches_.find(fd);
+  if (b == nullptr || b->epoch != epoch) co_return;
   flush_batch(fd);
 }
 
@@ -306,32 +317,30 @@ sim::Task<void> GcDaemon::connection_loop(int fd) {
   for (;;) {
     auto data = co_await proc_->api().read(fd, kReadChunk);
     if (!data || data->empty()) break;  // EOF or error
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) co_return;
-    it->second.framer.feed(data.value());
+    ConnState* st = conns_.find(fd);
+    if (st == nullptr) co_return;
+    st->framer.feed(data.value());
     for (;;) {
-      // Re-find each iteration: handling a frame can mutate conns_.
-      auto cur = conns_.find(fd);
-      if (cur == conns_.end()) co_return;
-      auto frame = cur->second.framer.next();
+      // Re-find each iteration: handling a frame can erase this fd's entry.
+      st = conns_.find(fd);
+      if (st == nullptr) co_return;
+      auto frame = st->framer.next();
       if (!frame) break;
       handle_frame(fd, *frame);
     }
   }
   // Connection ended: client death or peer daemon death.
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) co_return;
-  const ConnState st = std::move(it->second);
-  conns_.erase(it);
+  const auto st = conns_.take(fd);
+  if (!st) co_return;
   (void)proc_->api().close(fd);
-  if (st.role == ConnState::Role::kClient) handle_client_gone(fd);
-  if (st.role == ConnState::Role::kPeer) handle_peer_gone(st.peer_id, fd);
+  if (st->role == ConnState::Role::kClient) handle_client_gone(fd);
+  if (st->role == ConnState::Role::kPeer) handle_peer_gone(st->peer_id, fd);
 }
 
 void GcDaemon::handle_frame(int fd, const Frame& frame) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  ConnState& st = it->second;
+  ConnState* found = conns_.find(fd);
+  if (found == nullptr) return;
+  ConnState& st = *found;
   // A kPeer link's id is a valid daemon id: kPeerHello checked it.
   if (st.role == ConnState::Role::kPeer) {
     peer_last_seen_[st.peer_id] = proc_->sim().now();
@@ -540,20 +549,19 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
   if (cfg_.plane.sharded) shard_stamped_.add();
 
   bool scoped = cfg_.plane.sharded && m.kind == PayloadKind::kData;
-  std::set<std::uint64_t> interested;
+  std::vector<std::uint64_t> interested;
   if (scoped) {
-    // The interest set: every daemon hosting a member of the group, plus
-    // the origin (which must see its message ordered to clear pending_ —
-    // reply-group sends come from non-members). Membership frames are
-    // never scoped, so groups_/homes are globally replicated and every
-    // daemon can compute this set.
-    if (s.state != nullptr) {
-      for (const auto& [member, home] : s.state->homes) {
-        interested.insert(home);
-      }
-    }
-    interested.insert(m.origin);
-    interested.erase(cfg_.self_index);
+    // The interest set, ascending: every daemon hosting a member of the
+    // group, plus the origin (which must see its message ordered to clear
+    // pending_ — reply-group sends come from non-members). Membership
+    // frames are never scoped, so members/homes are globally replicated
+    // and every daemon can compute this set.
+    interested = s.homes;
+    interested.push_back(m.origin);
+    std::sort(interested.begin(), interested.end());
+    interested.erase(std::unique(interested.begin(), interested.end()),
+                     interested.end());
+    std::erase(interested, cfg_.self_index);
     // Partial-partition fallback: if any interested daemon is alive but
     // unlinked from us, degrade to all linked peers so the bridge relays
     // can forward it (first-seen forwarding + dedupe absorb duplicates).
@@ -579,13 +587,13 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
 }
 
 template <typename Encode>
-void GcDaemon::write_to_local(const std::vector<std::string>& members,
-                              Encode encode) {
+void GcDaemon::write_to_local(const GroupSlot& g, Encode encode) {
   int last_fd = -1;
   Bytes wire;
-  for (const auto& member : members) {
-    auto fd = client_fds_.find(member);
-    if (fd == client_fds_.end()) continue;  // member is remote
+  for (std::size_t i = 0; i < g.members.size(); ++i) {
+    if (g.homes[i] != cfg_.self_index) continue;  // member is remote
+    auto fd = client_fds_.find(g.members[i]);
+    if (fd == client_fds_.end()) continue;  // its client is gone
     if (last_fd < 0) {
       wire = encode();
     } else {
@@ -613,26 +621,25 @@ bool GcDaemon::handle_ordered(const OrderedMsg& m, GroupSlot& s) {
   if (m.origin == cfg_.self_index) pending_.erase(m.msg_id);
   ++delivered_count_;
 
-  if (s.state == nullptr) s.state = &groups_[m.group];
-  GroupState& group = *s.state;
+  s.present = true;
   if (m.kind == PayloadKind::kData) {
-    write_to_local(group.members, [&] { return encode_deliver(m); });
+    write_to_local(s, [&] { return encode_deliver(m); });
     return true;
   }
   // Membership: a join of a member or a leave of a non-member changes no view.
   const bool join = m.kind == PayloadKind::kJoin;
-  auto it = std::find(group.members.begin(), group.members.end(), m.member);
-  if (join == (it != group.members.end())) return true;
+  auto it = std::find(s.members.begin(), s.members.end(), m.member);
+  if (join == (it != s.members.end())) return true;
   if (join) {
-    group.members.push_back(m.member);
-    group.homes[m.member] = m.origin;
+    s.members.push_back(m.member);
+    s.homes.push_back(m.origin);
   } else {
-    group.members.erase(it);
-    group.homes.erase(m.member);
+    s.homes.erase(s.homes.begin() + (it - s.members.begin()));
+    s.members.erase(it);
   }
-  group.view_id = m.seq;
-  write_to_local(group.members, [&] {
-    return encode_view(ViewMsg{m.group, group.view_id, group.members});
+  s.view_id = m.seq;
+  write_to_local(s, [&] {
+    return encode_view(ViewMsg{m.group, s.view_id, s.members});
   });
   return true;
 }
@@ -648,13 +655,14 @@ void GcDaemon::handle_client_gone(int fd) {
   }
   if (name.empty()) return;
   // The member's groups: every group that lists it with our daemon as home.
-  std::vector<std::string> groups;
-  for (auto& [gname, g] : groups_) {
-    auto home = g.homes.find(name);
-    if (home != g.homes.end() && home->second == cfg_.self_index) {
-      groups.push_back(gname);
+  auto homed_here = [&](const GroupSlot& s) {
+    for (std::size_t i = 0; i < s.members.size(); ++i) {
+      if (s.members[i] == name) return s.homes[i] == cfg_.self_index;
     }
-  }
+    return false;
+  };
+  std::vector<std::string> groups;
+  for (const auto* g : groups_by_name(homed_here)) groups.push_back(g->first);
   proc_->sim().spawn(delayed_member_death(std::move(name), std::move(groups)));
 }
 
@@ -722,14 +730,19 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
   // on the *second* peer death (a multi-way split) still owes the
   // expulsions the earlier death would have triggered. In legacy mode the
   // stamper of every group is the global sequencer.
-  for (auto& [gname, g] : groups_) {
-    if (stamper_for(slot(gname)) != cfg_.self_index) continue;
+  // Groups and each group's orphans go in name order.
+  auto stamped_here = [this](const GroupSlot& s) {
+    return stamper_for(s) == cfg_.self_index;
+  };
+  for (const auto* entry : groups_by_name(stamped_here)) {
+    const auto& [gname, g] = *entry;
     std::vector<std::string> orphans;
-    for (const auto& [member, home] : g.homes) {
-      if (dead_daemons_.contains(home)) orphans.push_back(member);
+    for (std::size_t i = 0; i < g.members.size(); ++i) {
+      if (dead_daemons_.contains(g.homes[i])) orphans.push_back(g.members[i]);
     }
+    std::sort(orphans.begin(), orphans.end());
     for (auto& member : orphans) {
-      submit(PayloadKind::kLeave, gname, member);
+      submit(PayloadKind::kLeave, gname, std::move(member));
     }
   }
 
@@ -804,7 +817,7 @@ sim::Task<void> GcDaemon::rejoin_probe_loop() {
       ConnState st;
       st.role = ConnState::Role::kPeer;
       st.peer_id = peer;
-      conns_.emplace(fd, std::move(st));
+      conns_.try_emplace(fd, std::move(st));
       direct_send(fd, encode_peer_hello(PeerHelloMsg{cfg_.self_index}));
       proc_->sim().spawn(connection_loop(fd));
       resurrect_peer(peer, fd);
@@ -853,9 +866,9 @@ std::uint64_t GcDaemon::island_sequencer() const {
 }
 
 void GcDaemon::send_rejoin(int fd) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end() || it->second.rejoin_sent) return;
-  it->second.rejoin_sent = true;
+  ConnState* st = conns_.find(fd);
+  if (st == nullptr || st->rejoin_sent) return;
+  st->rejoin_sent = true;
   direct_send(fd, encode_rejoin(RejoinMsg{cfg_.self_index, next_seq_,
                                           island_count(),
                                           island_sequencer()}));
@@ -869,11 +882,11 @@ void GcDaemon::bump_seq_past(std::uint64_t foreign_next_seq) {
 }
 
 void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
+  const ConnState* st = conns_.find(fd);
+  if (st == nullptr) return;
   // Only peer links reach here (handle_frame), so a sender other than the
   // rejoiner is a relay.
-  if (it->second.peer_id != m.daemon_id) {
+  if (st->peer_id != m.daemon_id) {
     // A peer forwarded a rejoiner's request because we sequence: only the
     // sequence-domain bump applies here — the link (and the snapshot reply)
     // belong to the relaying daemon.
@@ -928,17 +941,13 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
 StateSyncMsg GcDaemon::snapshot_state() const {
   StateSyncMsg m;
   m.next_seq = next_seq_;
-  for (const auto& [name, g] : groups_) {
-    GroupSnapshot snap;
-    snap.group = name;
-    snap.view_id = g.view_id;
-    snap.members = g.members;
-    snap.homes.reserve(g.members.size());
-    for (const auto& member : g.members) {
-      auto home = g.homes.find(member);
-      snap.homes.push_back(home == g.homes.end() ? 0 : home->second);
-    }
-    m.groups.push_back(std::move(snap));
+  for (const auto* entry :
+       groups_by_name([](const GroupSlot&) { return true; })) {
+    GroupSnapshot& snap = m.groups.emplace_back();
+    snap.group = entry->first;
+    snap.view_id = entry->second.view_id;
+    snap.members = entry->second.members;
+    snap.homes = entry->second.homes;
   }
   m.alive.assign(alive_daemons_.begin(), alive_daemons_.end());
   return m;
@@ -987,18 +996,19 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
     direct_broadcast(
         encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_}));
   }
-  groups_.clear();
-  for (auto& entry : slots_) entry.second.state = nullptr;
+  for (auto& [name, g] : slots_) {  // the hash and dedupe marks stay
+    g.present = false;
+    g.members.clear();
+    g.homes.clear();
+    g.view_id = 0;
+  }
   for (const auto& snap : m.groups) {
-    GroupState g;
+    GroupSlot& g = slot(snap.group);
+    g.present = true;
     g.members = snap.members;
+    g.homes = snap.homes;
+    g.homes.resize(g.members.size());  // a short list homes the rest at 0
     g.view_id = snap.view_id;
-    for (std::size_t i = 0; i < snap.members.size() && i < snap.homes.size();
-         ++i) {
-      g.homes[snap.members[i]] = snap.homes[i];
-    }
-    GroupState& adopted = groups_[snap.group] = std::move(g);
-    slot(snap.group).state = &adopted;
   }
   ++rejoins_;
   proc_->sim().obs().metrics().counter("gc.rejoins").add();
@@ -1012,19 +1022,18 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
   adopt_alive_set(m.alive, fd);
   // Iterative healing: a later heal may bring yet another island to this
   // link, so allow a fresh arbitration round on every peer link.
-  for (auto& [cfd, cst] : conns_) {
-    (void)cfd;
-    if (cst.role == ConnState::Role::kPeer) cst.rejoin_sent = false;
-  }
+  conns_.for_each([](int, ConnState& st) {
+    if (st.role == ConnState::Role::kPeer) st.rejoin_sent = false;
+  });
   // Re-enter our local clients: the authority expelled them while we were
   // silent. Joins are idempotent, so a client that was never expelled just
   // sees no new view; an expelled one gets a fresh (higher) view id.
-  for (auto& [fd, st] : conns_) {
-    if (st.role != ConnState::Role::kClient) continue;
+  conns_.for_each([this](int, ConnState& st) {
+    if (st.role != ConnState::Role::kClient) return;
     for (const auto& gname : st.joined) {
       submit(PayloadKind::kJoin, gname, st.client_name);
     }
-  }
+  });
 }
 
 }  // namespace mead::gc

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "gc/wire.h"
+#include "net/fd_table.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -135,19 +136,17 @@ class GcDaemon {
   static std::string reply_group_of(const std::string& member);
 
  private:
-  struct GroupState {
-    std::vector<std::string> members;            // join order
-    std::map<std::string, std::uint64_t> homes;  // member -> daemon id
-    std::uint64_t view_id = 0;
-  };
   /// (origin, last applied msg id): a few origins each, scanned linearly.
   using DoneMarks = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-  /// Host-local interned group: all the per-frame path needs, found with
-  /// one hash lookup per frame. Slots are never erased.
+  /// Host-local interned group: its membership and all the per-frame path
+  /// needs, found with one hash lookup per frame. Slots are never erased.
   struct GroupSlot {
-    /// Into groups_ (map nodes are stable); null until first applied here.
-    /// handle_state_sync rebuilds groups_ and re-points every slot.
-    GroupState* state = nullptr;
+    /// Applied here (an ordered message or a state sync entered it); the
+    /// state-sync snapshot lists exactly the present groups.
+    bool present = false;
+    std::vector<std::string> members;  // join order
+    std::vector<std::uint64_t> homes;  // daemon id of members[i]
+    std::uint64_t view_id = 0;
     std::uint64_t stamper_hash = 0;  // FNV-1a of the name (stamper_for)
     /// Dedupe marks, per (group, origin) on both planes. With sharded
     /// stampers one origin's messages for different groups take different
@@ -164,6 +163,8 @@ class GcDaemon {
       return std::hash<std::string_view>{}(s);
     }
   };
+  using SlotMap =
+      std::unordered_map<std::string, GroupSlot, NameHash, std::equal_to<>>;
 
   /// True once links to every other configured daemon are up (or the peer
   /// is known dead). Client submissions are buffered until then, so no
@@ -176,6 +177,11 @@ class GcDaemon {
   }
   /// The interned slot of `name`, created on first sight.
   GroupSlot& slot(std::string_view name);
+  /// The present groups `keep` accepts, in name order: the order of the
+  /// leaves on peer or client death and of the state-sync snapshot.
+  template <typename Keep>
+  [[nodiscard]] std::vector<const SlotMap::value_type*> groups_by_name(
+      Keep keep) const;
 
   sim::Task<void> accept_loop(int listen_fd);
   sim::Task<void> connection_loop(int fd);
@@ -234,10 +240,11 @@ class GcDaemon {
   /// Applies `m` unless already applied; returns whether it was fresh.
   /// Dedupe is a high-water mark per (group, origin): see GroupSlot::done.
   bool handle_ordered(const OrderedMsg& m, GroupSlot& s);
-  /// Writes `encode()` to every local member of `members`, encoding only
-  /// if one exists; the last write takes the buffer instead of a copy.
+  /// Writes `encode()` to every member of `g` homed here whose client is
+  /// connected, encoding only if one exists; the last write takes the
+  /// buffer instead of a copy.
   template <typename Encode>
-  void write_to_local(const std::vector<std::string>& members, Encode encode);
+  void write_to_local(const GroupSlot& g, Encode encode);
   void spawn_write(int fd, Bytes data);
   /// Mesh write that may be coalesced into the fd's pending FrameBatch.
   void mesh_send(int fd, const Bytes& frame);
@@ -273,7 +280,7 @@ class GcDaemon {
     std::set<std::string> joined;      // role kClient
     bool rejoin_sent = false;          // at most one Rejoin per link
   };
-  std::map<int, ConnState> conns_;
+  net::FdTable<ConnState> conns_;
   std::map<std::uint64_t, int> peer_fds_;
   /// Indexed by daemon id; only read for linked peers, each of which was
   /// stamped when its link came up.
@@ -304,7 +311,7 @@ class GcDaemon {
     std::uint64_t epoch = 0;  // bumped per flush; stale δt timers no-op
     bool flush_armed = false;
   };
-  std::map<int, Batch> batches_;
+  net::FdTable<Batch> batches_;
 
   // ordering state
   std::uint64_t next_seq_ = 1;
@@ -318,10 +325,7 @@ class GcDaemon {
   std::deque<OrderedMsg> stamp_wait_;   // foreign submits awaiting mesh
   std::uint64_t delivered_count_ = 0;
 
-  /// Name-ordered: iterated where the order is observable (leave
-  /// submission on peer/client death, state-sync snapshots).
-  std::map<std::string, GroupState> groups_;
-  std::unordered_map<std::string, GroupSlot, NameHash, std::equal_to<>> slots_;
+  SlotMap slots_;
 };
 
 }  // namespace mead::gc

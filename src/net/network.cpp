@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace mead::net {
+
+// dup2 refuses targets at or past this, as past RLIMIT_NOFILE.
+constexpr int kMaxFd = 1 << 16;
 
 namespace detail {
 
@@ -62,15 +66,11 @@ void Process::exit() {
   net_.teardown_process_sockets(*this);
 }
 
-detail::FdEntry* Process::find_fd(int fd) {
-  auto it = fds_.find(fd);
-  return it == fds_.end() ? nullptr : &it->second;
-}
-
 int Process::install_fd(detail::FdEntry entry) {
   if (auto* ref = std::get_if<detail::ConnRef>(&entry)) ++ref->end().open_fds;
+  while (fds_.find(next_fd_) != nullptr) ++next_fd_;
   const int fd = next_fd_++;
-  fds_.emplace(fd, std::move(entry));
+  fds_.try_emplace(fd, std::move(entry));
   return fd;
 }
 
@@ -217,19 +217,6 @@ std::uint64_t Network::connections_established() const {
   return connections_established_;
 }
 
-void Network::account_delivery(std::uint16_t service_port, std::size_t bytes) {
-  auto it = service_bytes_.find(service_port);
-  if (it == service_bytes_.end()) {
-    it = service_bytes_
-             .emplace(service_port,
-                      &sim_.obs().metrics().counter(
-                          "net.bytes.service." + std::to_string(service_port)))
-             .first;
-  }
-  it->second->add(bytes);
-  total_bytes_->add(bytes);
-}
-
 void Network::bind_delivery_counters(detail::Conn& conn) {
   auto it = service_bytes_.find(conn.service_port);
   if (it == service_bytes_.end()) {
@@ -276,21 +263,19 @@ void Network::teardown_process_sockets(Process& proc) {
   // Force-close every socket the process holds. Peers observe EOF after one
   // propagation delay — this is how both the client-side interceptor (§4.2)
   // and the GC daemons detect abrupt process failure.
-  auto fds = std::move(proc.fds_);
-  proc.fds_.clear();
-  for (auto& [fd, entry] : fds) {
-    (void)fd;
+  auto fds = std::exchange(proc.fds_, {});
+  fds.for_each([&](int, detail::FdEntry& entry) {
     if (auto* ref = std::get_if<detail::ConnRef>(&entry)) {
       detail::ConnEnd& end = ref->end();
       end.open_fds = 0;  // all table references are gone at once
-      if (end.local_closed) continue;
+      if (end.local_closed) return;
       end.local_closed = true;
       end.readers.wake_all(sim_);
       detail::ConnEnd& peer = ref->peer();
       assert(end.node != kInvalidNode && peer.node != kInvalidNode);
       if (link_partitioned(end.node, peer.node)) {
         note_drop();  // RST lost: the remote peer hangs (detected by
-        continue;     // heartbeat timeout, not EOF)
+        return;       // heartbeat timeout, not EOF)
       }
       auto conn = ref->conn;
       const int peer_side = 1 - ref->side;
@@ -302,7 +287,7 @@ void Network::teardown_process_sockets(Process& proc) {
       });
     } else if (auto* lp = std::get_if<detail::ListenerPtr>(&entry)) {
       detail::Listener& listener = **lp;
-      if (listener.closed) continue;
+      if (listener.closed) return;
       listener.closed = true;
       remove_listener(*lp);
       listener.acceptors.wake_all(sim_);
@@ -321,7 +306,7 @@ void Network::teardown_process_sockets(Process& proc) {
       }
       listener.pending.clear();
     }
-  }
+  });
 }
 
 // ------------------------------------------------------- ProcessSocketApi
@@ -368,7 +353,7 @@ Result<int> ProcessSocketApi::listen(std::uint16_t port) {
 sim::Task<Result<int>> ProcessSocketApi::accept(int listen_fd) {
   for (;;) {
     if (!proc_.alive()) co_return make_unexpected(NetErr::kProcessDead);
-    auto* entry = proc_.find_fd(listen_fd);
+    auto* entry = proc_.fds_.find(listen_fd);
     if (entry == nullptr) co_return make_unexpected(NetErr::kBadFd);
     auto* lp = std::get_if<detail::ListenerPtr>(entry);
     if (lp == nullptr) co_return make_unexpected(NetErr::kNotListener);
@@ -444,7 +429,7 @@ sim::Task<Result<Bytes>> ProcessSocketApi::read(int fd, std::size_t max_bytes,
   if (timeout) deadline = sim().now() + *timeout;
   for (;;) {
     if (!proc_.alive()) co_return make_unexpected(NetErr::kProcessDead);
-    auto* entry = proc_.find_fd(fd);
+    auto* entry = proc_.fds_.find(fd);
     if (entry == nullptr) co_return make_unexpected(NetErr::kBadFd);
     auto* ref = std::get_if<detail::ConnRef>(entry);
     if (ref == nullptr) co_return make_unexpected(NetErr::kNotListener);
@@ -470,7 +455,7 @@ sim::Task<Result<Bytes>> ProcessSocketApi::read(int fd, std::size_t max_bytes,
 
 sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
   if (!proc_.alive()) co_return make_unexpected(NetErr::kProcessDead);
-  auto* entry = proc_.find_fd(fd);
+  auto* entry = proc_.fds_.find(fd);
   if (entry == nullptr) co_return make_unexpected(NetErr::kBadFd);
   auto* ref = std::get_if<detail::ConnRef>(entry);
   if (ref == nullptr) co_return make_unexpected(NetErr::kNotListener);
@@ -522,7 +507,7 @@ sim::Task<Result<std::vector<int>>> ProcessSocketApi::select(
     if (!proc_.alive()) co_return make_unexpected(NetErr::kProcessDead);
     std::vector<int> ready;
     for (int fd : fds) {
-      auto* entry = proc_.find_fd(fd);
+      auto* entry = proc_.fds_.find(fd);
       if (entry == nullptr) continue;
       if (auto* ref = std::get_if<detail::ConnRef>(entry)) {
         detail::ConnEnd& end = ref->end();
@@ -538,7 +523,7 @@ sim::Task<Result<std::vector<int>>> ProcessSocketApi::select(
 
     auto w = net().waiter_pool().acquire();
     for (int fd : fds) {
-      auto* entry = proc_.find_fd(fd);
+      auto* entry = proc_.fds_.find(fd);
       if (entry == nullptr) continue;
       if (auto* ref = std::get_if<detail::ConnRef>(entry)) {
         ref->end().readers.add(w);
@@ -592,44 +577,39 @@ void ProcessSocketApi::close_entry(detail::FdEntry entry) {
 }
 
 Result<void> ProcessSocketApi::close(int fd) {
-  auto it = proc_.fds_.find(fd);
-  if (it == proc_.fds_.end()) return make_unexpected(NetErr::kBadFd);
-  detail::FdEntry entry = std::move(it->second);
-  proc_.fds_.erase(it);
-  close_entry(std::move(entry));
+  auto entry = proc_.fds_.take(fd);
+  if (!entry) return make_unexpected(NetErr::kBadFd);
+  close_entry(std::move(*entry));
   return {};
 }
 
 Result<void> ProcessSocketApi::dup2(int from_fd, int to_fd) {
-  auto* from = proc_.find_fd(from_fd);
-  if (from == nullptr) return make_unexpected(NetErr::kBadFd);
+  auto* from = proc_.fds_.find(from_fd);
+  if (from == nullptr || to_fd < 0 || to_fd >= kMaxFd) {
+    return make_unexpected(NetErr::kBadFd);
+  }
   if (from_fd == to_fd) return {};
   detail::FdEntry copy = *from;
   if (auto* ref = std::get_if<detail::ConnRef>(&copy)) ++ref->end().open_fds;
-  auto it = proc_.fds_.find(to_fd);
-  if (it != proc_.fds_.end()) {
-    detail::FdEntry old = std::move(it->second);
-    it->second = std::move(copy);
-    close_entry(std::move(old));
-  } else {
-    proc_.fds_.emplace(to_fd, std::move(copy));
-  }
+  auto old = proc_.fds_.take(to_fd);
+  proc_.fds_.try_emplace(to_fd, std::move(copy));
+  if (old) close_entry(std::move(*old));
   return {};
 }
 
 Result<Endpoint> ProcessSocketApi::local_endpoint(int fd) const {
-  auto it = proc_.fds_.find(fd);
-  if (it == proc_.fds_.end()) return make_unexpected(NetErr::kBadFd);
-  if (const auto* ref = std::get_if<detail::ConnRef>(&it->second)) {
+  const auto* entry = proc_.fds_.find(fd);
+  if (entry == nullptr) return make_unexpected(NetErr::kBadFd);
+  if (const auto* ref = std::get_if<detail::ConnRef>(entry)) {
     return ref->end().local;
   }
-  return std::get<detail::ListenerPtr>(it->second)->local;
+  return std::get<detail::ListenerPtr>(*entry)->local;
 }
 
 Result<Endpoint> ProcessSocketApi::peer_endpoint(int fd) const {
-  auto it = proc_.fds_.find(fd);
-  if (it == proc_.fds_.end()) return make_unexpected(NetErr::kBadFd);
-  if (const auto* ref = std::get_if<detail::ConnRef>(&it->second)) {
+  const auto* entry = proc_.fds_.find(fd);
+  if (entry == nullptr) return make_unexpected(NetErr::kBadFd);
+  if (const auto* ref = std::get_if<detail::ConnRef>(entry)) {
     return ref->end().remote;
   }
   return make_unexpected(NetErr::kNotListener);

@@ -29,6 +29,7 @@
 #include "common/expected.h"
 #include "common/types.h"
 #include "net/byte_queue.h"
+#include "net/fd_table.h"
 #include "net/socket_api.h"
 #include "net/types.h"
 #include "sim/simulator.h"
@@ -213,7 +214,7 @@ class Process : public std::enable_shared_from_this<Process> {
   Process(Network& net, ProcessId id, NodeId node, std::string host,
           std::string name);
 
-  [[nodiscard]] detail::FdEntry* find_fd(int fd);
+  /// Installs `entry` at the next fd that no dup2 has claimed.
   int install_fd(detail::FdEntry entry);
 
   Network& net_;
@@ -223,7 +224,7 @@ class Process : public std::enable_shared_from_this<Process> {
   std::string name_;
   bool alive_ = true;
   int next_fd_ = 3;
-  std::map<int, detail::FdEntry> fds_;
+  FdTable<detail::FdEntry> fds_;
   std::unique_ptr<ProcessSocketApi> api_;
 };
 
@@ -312,7 +313,6 @@ class Network {
   /// as a real node without checking. Unknown-host paths that are reachable
   /// by construction (connect) check has_node() first.
   [[nodiscard]] NodeId node_id(const std::string& host) const;
-  void account_delivery(std::uint16_t service_port, std::size_t bytes);
   /// Resolves the per-service and total byte counters for an established
   /// connection (cached on the Conn; see detail::Conn).
   void bind_delivery_counters(detail::Conn& conn);

@@ -42,12 +42,10 @@ struct FreeLists {
 thread_local FreeLists t_frames;
 
 // Root wrapper for detached coroutines. Its frame self-destructs on
-// completion and unregisters from the simulator; frames still suspended when
-// the Simulator dies are destroyed by ~Simulator.
+// completion, which unlinks it from the simulator's root list; frames still
+// suspended when the Simulator dies are destroyed by ~Simulator.
 struct DetachedTask {
-  struct promise_type : detail::PromiseBase {
-    Simulator* sim = nullptr;
-
+  struct promise_type : detail::PromiseBase, detail::RootLink {
     DetachedTask get_return_object() {
       return DetachedTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -55,10 +53,7 @@ struct DetachedTask {
     struct FinalAwaiter {
       [[nodiscard]] bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) const noexcept {
-        Simulator* sim = h.promise().sim;
-        void* addr = h.address();
         h.destroy();
-        if (sim != nullptr) sim->unregister_root(addr);
       }
       void await_resume() const noexcept {}
     };
@@ -103,23 +98,21 @@ Simulator::~Simulator() {
   queue_.clear();
   fifo_.clear();
   slots_.clear();
-  auto roots = std::move(roots_);
-  roots_.clear();
-  for (void* addr : roots) {
-    std::coroutine_handle<>::from_address(addr).destroy();
+  while (roots_.next != &roots_) {
+    auto& root = static_cast<DetachedTask::promise_type&>(*roots_.next);
+    std::coroutine_handle<DetachedTask::promise_type>::from_promise(root)
+        .destroy();
   }
 }
 
 void Simulator::spawn(Task<void> task) {
   if (!task.valid()) return;
   DetachedTask root = run_detached(std::move(task));
-  root.handle.promise().sim = this;
-  roots_.insert(root.handle.address());
+  detail::RootLink& link = root.handle.promise();  // append to roots_
+  link.prev = roots_.prev;
+  link.next = &roots_;
+  roots_.prev = roots_.prev->next = &link;
   schedule(Duration{0}, [h = root.handle] { h.resume(); });
-}
-
-void Simulator::unregister_root(void* frame_address) {
-  roots_.erase(frame_address);
 }
 
 const Simulator::HeapEntry* Simulator::peek_next() const {

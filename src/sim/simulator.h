@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,6 +38,25 @@ struct TimerToken {
   std::uint32_t slot = 0;
   std::uint32_t gen = 0;
 };
+
+namespace detail {
+
+/// Intrusive list node in every spawned root's promise; it unlinks itself
+/// when its frame is destroyed. The Simulator owns the sentinel.
+struct RootLink {
+  RootLink* prev = this;
+  RootLink* next = this;
+
+  RootLink() = default;
+  RootLink(const RootLink&) = delete;
+  RootLink& operator=(const RootLink&) = delete;
+  ~RootLink() {
+    prev->next = next;
+    next->prev = prev;
+  }
+};
+
+}  // namespace detail
 
 class Simulator {
  public:
@@ -125,9 +143,6 @@ class Simulator {
 
   /// Number of events executed so far (for kernel micro-benchmarks).
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
-
-  // Internal: root-coroutine bookkeeping used by the detached wrapper.
-  void unregister_root(void* frame_address);
 
  private:
   // The priority queue holds only trivially copyable (time, seq, slot)
@@ -265,7 +280,8 @@ class Simulator {
   TimerHeap queue_;
   std::deque<HeapEntry> fifo_;
   SlotArena slots_;
-  std::unordered_set<void*> roots_;
+  /// Sentinel of the spawned roots still suspended, in spawn order.
+  detail::RootLink roots_;
   Logger logger_;
   Rng rng_;
   obs::Recorder obs_{[this] { return now_; }};

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gc_fixture.h"
@@ -392,6 +394,120 @@ TEST_F(GcDaemonTest, DaemonCrashExpelsItsMembers) {
   sim_.run_for(milliseconds(30));
   EXPECT_EQ(daemons_[0]->group_members("grp"), (std::vector<std::string>{"m1"}));
   EXPECT_EQ(daemons_[1]->group_members("grp"), (std::vector<std::string>{"m1"}));
+}
+
+TEST_F(GcDaemonTest, PeerDeathLeavesOrphansInGroupThenMemberNameOrder) {
+  // The stamper expelling a dead daemon's members walks the groups in name
+  // order and each group's orphans in member name order (DESIGN.md §3.8),
+  // whatever order they joined in. A surviving member sees it as the order
+  // of its views.
+  const std::vector<std::string> groups{"gz", "gx", "gy"};  // join order
+  auto join_all = [](GcClient& gc, std::vector<std::string> gs) -> sim::Task<void> {
+    for (const auto& g : gs) (void)co_await gc.join(g);
+  };
+  auto watcher = make_client("node1", "w");
+  sim_.spawn(join_all(*watcher.gc, groups));
+  sim_.run_for(milliseconds(10));
+  std::vector<ClientHandle> orphans;
+  for (const char* name : {"oc", "oa", "ob"}) {
+    orphans.push_back(make_client("node3", name));
+    sim_.spawn(join_all(*orphans.back().gc, groups));
+    sim_.run_for(milliseconds(10));
+  }
+  ASSERT_EQ(daemons_[0]->group_members("gx"),
+            (std::vector<std::string>{"w", "oc", "oa", "ob"}));
+
+  std::vector<std::pair<std::string, View>> views;
+  auto watch = [](GcClient& gc,
+                  std::vector<std::pair<std::string, View>>& out) -> sim::Task<void> {
+    for (;;) {
+      auto ev = co_await gc.next_event();
+      if (!ev) co_return;
+      if (ev.value()->kind == Event::Kind::kView) {
+        out.emplace_back(ev.value()->group, ev.value()->view);
+      }
+    }
+  };
+  sim_.spawn(watch(*watcher.gc, views));
+  sim_.run_for(milliseconds(10));
+  views.clear();  // the join-time views
+
+  daemon_procs_[2]->kill();
+  sim_.run_for(milliseconds(30));
+  const std::vector<std::vector<std::string>> shrink{
+      {"w", "oc", "ob"}, {"w", "oc"}, {"w"}};  // oa, ob, oc leave in turn
+  std::vector<std::pair<std::string, std::vector<std::string>>> want;
+  for (const char* g : {"gx", "gy", "gz"}) {
+    for (const auto& members : shrink) want.emplace_back(g, members);
+  }
+  std::vector<std::pair<std::string, std::vector<std::string>>> got;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    got.emplace_back(views[i].first, views[i].second.members);
+    if (i > 0) {
+      EXPECT_GT(views[i].second.view_id, views[i - 1].second.view_id);
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_LT(daemons_[1]->view_id("gx"), daemons_[1]->view_id("gy"));
+  EXPECT_LT(daemons_[1]->view_id("gy"), daemons_[1]->view_id("gz"));
+}
+
+TEST_F(GcDaemonTest, StateSyncSnapshotListsEmptiedGroupsInNameOrder) {
+  // The authority's snapshot lists every group it has applied — emptied
+  // ones too, so their view ids survive the merge — in name order. An
+  // impostor for the dead daemon 2 dials daemon 0 and asks to rejoin with
+  // a one-daemon island, so daemon 0 wins and sends its snapshot.
+  auto m = make_client("node1", "m1");
+  auto churn = [](GcClient& gc) -> sim::Task<void> {
+    for (const char* g : {"gz", "gx", "gy"}) (void)co_await gc.join(g);
+    for (const char* g : {"gz", "gx"}) (void)co_await gc.leave(g);
+  };
+  sim_.spawn(churn(*m.gc));
+  sim_.run_for(milliseconds(10));
+  ASSERT_TRUE(daemons_[0]->group_members("gz").empty());
+  daemon_procs_[2]->kill();
+  sim_.run_for(milliseconds(20));
+
+  std::optional<StateSyncMsg> snapshot;
+  auto rogue = net_.spawn_process("node3", "rogue");
+  auto rejoin = [](net::Process& p,
+                   std::optional<StateSyncMsg>& out) -> sim::Task<void> {
+    auto fd = co_await p.api().connect(net::Endpoint{"node1", kDefaultDaemonPort});
+    if (!fd) co_return;
+    for (const Bytes& wire : {encode_peer_hello(PeerHelloMsg{2}),
+                              encode_rejoin(RejoinMsg{2, 0, 1, 2})}) {
+      (void)co_await p.api().writev(fd.value(), wire);
+    }
+    LenFramer framer;
+    for (;;) {
+      auto data = co_await p.api().read(fd.value(), 64 * 1024, milliseconds(50));
+      if (!data || data->empty()) co_return;
+      framer.feed(data.value());
+      while (auto frame = framer.next()) {
+        if (frame->op != Op::kStateSync) continue;
+        if (auto m = decode_state_sync(frame->payload)) out = m.value();
+        co_return;
+      }
+    }
+  };
+  sim_.spawn(rejoin(*rogue, snapshot));
+  sim_.run_for(milliseconds(20));
+  ASSERT_TRUE(snapshot.has_value());
+  std::vector<std::string> names;
+  for (const auto& g : snapshot->groups) {
+    names.push_back(g.group);
+    EXPECT_EQ(g.members, daemons_[0]->group_members(g.group)) << g.group;
+    EXPECT_EQ(g.view_id, daemons_[0]->view_id(g.group)) << g.group;
+    EXPECT_EQ(g.homes.size(), g.members.size()) << g.group;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{GcDaemon::reply_group_of("m1"),
+                                             "gx", "gy", "gz"}));
+  for (const auto& g : snapshot->groups) {
+    if (g.group == "gx" || g.group == "gz") {
+      EXPECT_TRUE(g.members.empty()) << g.group;
+      EXPECT_GT(g.view_id, 0u) << g.group;
+    }
+  }
 }
 
 TEST_F(GcDaemonTest, SequencerCrashElectsNext) {

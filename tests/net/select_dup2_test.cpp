@@ -299,5 +299,95 @@ TEST_F(SelectDup2Test, Dup2BadFdFails) {
   EXPECT_FALSE(client->api().dup2(77, 78).ok());
 }
 
+TEST_F(SelectDup2Test, Dup2OntoANegativeOrHugeFdFails) {
+  auto server = net_.spawn_process("node1", "server");
+  auto lfd = server->api().listen(5000);
+  ASSERT_TRUE(lfd.ok());
+  for (int to : {-1, -7, 1 << 30}) {
+    auto r = server->api().dup2(lfd.value(), to);
+    ASSERT_FALSE(r.ok()) << to;
+    EXPECT_EQ(r.error(), NetErr::kBadFd) << to;
+  }
+  EXPECT_TRUE(server->api().local_endpoint(lfd.value()).ok());
+}
+
+TEST_F(SelectDup2Test, ConnectSkipsAnFdClaimedByDup2) {
+  // dup2 onto a number no socket has been given yet: the next connect must
+  // get a fresh fd, not that number — handing it out again would leave the
+  // new fd aliasing the old socket and leak the new connection's fd count.
+  auto first = net_.spawn_process("node1", "first");
+  auto second = net_.spawn_process("node3", "second");
+  auto client = net_.spawn_process("node2", "client");
+  bool first_saw_eof = false;
+  std::string second_got;
+
+  auto serve_first = [](Process& p, bool& eof) -> sim::Task<void> {
+    auto lfd = p.api().listen(5000);
+    auto cfd = co_await p.api().accept(lfd.value());
+    auto d = co_await p.api().read(cfd.value(), 4096);
+    eof = d.ok() && d->empty();
+  };
+  auto serve_second = [](Process& p, std::string& out) -> sim::Task<void> {
+    auto lfd = p.api().listen(5001);
+    auto cfd = co_await p.api().accept(lfd.value());
+    auto d = co_await p.api().read(cfd.value(), 4096);
+    if (d.ok()) out = to_str(d.value());
+  };
+  auto client_main = [](Process& p) -> sim::Task<void> {
+    auto fd = co_await p.api().connect(Endpoint{"node1", 5000});
+    const int alias = fd.value() + 1;  // not yet allocated
+    EXPECT_TRUE(p.api().dup2(fd.value(), alias).ok());
+    auto nfd = co_await p.api().connect(Endpoint{"node3", 5001});
+    EXPECT_TRUE(nfd.ok());
+    if (!nfd.ok()) co_return;
+    EXPECT_EQ(nfd.value(), alias + 1);
+    EXPECT_EQ(p.api().peer_endpoint(nfd.value())->port, 5001);
+    EXPECT_EQ(p.api().peer_endpoint(alias)->port, 5000);
+    (void)co_await p.api().writev(nfd.value(), to_bytes("new"));
+    // Both references to the first connection go: its server sees EOF.
+    EXPECT_TRUE(p.api().close(fd.value()).ok());
+    EXPECT_TRUE(p.api().close(alias).ok());
+  };
+  sim_.spawn(serve_first(*first, first_saw_eof));
+  sim_.spawn(serve_second(*second, second_got));
+  sim_.spawn(client_main(*client));
+  sim_.run();
+  EXPECT_TRUE(first_saw_eof);
+  EXPECT_EQ(second_got, "new");
+}
+
+TEST_F(SelectDup2Test, Dup2OntoAHighFd) {
+  // A high dup2 target works like any other fd and does not move the
+  // allocator: the next socket still gets the next low number.
+  auto server = net_.spawn_process("node1", "server");
+  auto client = net_.spawn_process("node2", "client");
+  std::string got;
+
+  auto serve = [](Process& p, std::string& out) -> sim::Task<void> {
+    auto lfd = p.api().listen(5000);
+    auto cfd = co_await p.api().accept(lfd.value());
+    for (;;) {
+      auto d = co_await p.api().read(cfd.value(), 4096);
+      if (!d.ok() || d->empty()) break;
+      out += to_str(d.value());
+    }
+  };
+  auto client_main = [](Process& p) -> sim::Task<void> {
+    auto fd = co_await p.api().connect(Endpoint{"node1", 5000});
+    const int high = 4096;
+    EXPECT_TRUE(p.api().dup2(fd.value(), high).ok());
+    EXPECT_TRUE(p.api().close(fd.value()).ok());
+    (void)co_await p.api().writev(high, to_bytes("high"));
+    auto next = p.api().listen(6000);
+    EXPECT_EQ(next.value_or(-1), fd.value() + 1);
+    co_await p.sim().sleep(milliseconds(2));
+    EXPECT_TRUE(p.api().close(high).ok());
+  };
+  sim_.spawn(serve(*server, got));
+  sim_.spawn(client_main(*client));
+  sim_.run();
+  EXPECT_EQ(got, "high");
+}
+
 }  // namespace
 }  // namespace mead::net
