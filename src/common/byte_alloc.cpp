@@ -1,0 +1,91 @@
+#include "common/byte_alloc.h"
+
+#include <bit>
+
+#include <sanitizer/asan_interface.h>
+
+namespace mead {
+
+namespace {
+
+using detail::BufferCache;
+
+constexpr std::size_t kClasses =
+    std::bit_width(BufferCache::kMaxBlock / BufferCache::kMinBlock);
+
+/// Class c holds blocks of kMinBlock << c bytes; n must lie in
+/// [kMinBlock, kMaxBlock].
+constexpr std::size_t size_class(std::size_t n) {
+  return std::bit_width((n - 1) / BufferCache::kMinBlock);
+}
+constexpr std::size_t block_size(std::size_t c) {
+  return BufferCache::kMinBlock << c;
+}
+constexpr bool cacheable(std::size_t n) {
+  return n >= BufferCache::kMinBlock && n <= BufferCache::kMaxBlock;
+}
+
+static_assert(size_class(BufferCache::kMinBlock) == 0);
+static_assert(block_size(kClasses - 1) == BufferCache::kMaxBlock);
+
+/// One thread's free lists; a free block's first word links to the next.
+/// At thread exit the blocks are freed, and full counts send buffers freed
+/// later in that exit to ::operator delete.
+struct FreeLists {
+  void* head[kClasses] = {};
+  std::size_t count[kClasses] = {};
+  std::size_t bytes = 0;
+
+  FreeLists() = default;
+  FreeLists(const FreeLists&) = delete;
+  FreeLists& operator=(const FreeLists&) = delete;
+  ~FreeLists() {
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      while (void* b = pop(c)) ::operator delete(b);
+      count[c] = BufferCache::kCap;
+    }
+    bytes = BufferCache::kMaxCachedBytes;
+  }
+
+  void* pop(std::size_t c) {
+    void* b = head[c];
+    if (b == nullptr) return nullptr;
+    ASAN_UNPOISON_MEMORY_REGION(b, block_size(c));
+    head[c] = *static_cast<void**>(b);
+    --count[c];
+    bytes -= block_size(c);
+    return b;
+  }
+};
+
+thread_local FreeLists t_buffers;
+
+}  // namespace
+
+void* BufferCache::allocate(std::size_t n) {
+  if (!cacheable(n)) return ::operator new(n);
+  const std::size_t c = size_class(n);
+  if (void* b = t_buffers.pop(c)) return b;
+  return ::operator new(block_size(c));
+}
+
+void BufferCache::deallocate(void* p, std::size_t n) noexcept {
+  if (!cacheable(n)) return ::operator delete(p);
+  const std::size_t c = size_class(n);
+  FreeLists& lists = t_buffers;
+  if (lists.count[c] >= kCap || lists.bytes + block_size(c) > kMaxCachedBytes) {
+    return ::operator delete(p);
+  }
+  lists.head[c] = ::new (p) void*(lists.head[c]);
+  ++lists.count[c];
+  lists.bytes += block_size(c);
+  ASAN_POISON_MEMORY_REGION(p, block_size(c));
+}
+
+std::size_t BufferCache::cached(std::size_t n) {
+  return cacheable(n) ? t_buffers.count[size_class(n)] : 0;
+}
+
+std::size_t BufferCache::cached_bytes() { return t_buffers.bytes; }
+
+}  // namespace mead

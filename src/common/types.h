@@ -9,8 +9,11 @@
 
 #include <cstdint>
 #include <compare>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "common/byte_alloc.h"
 
 namespace mead {
 
@@ -67,11 +70,15 @@ class TimePoint {
   std::int64_t ns_ = 0;
 };
 
-/// Raw octet sequence, used for wire messages throughout the stack.
-using Bytes = std::vector<std::uint8_t>;
+/// Raw octet sequence, used for wire messages throughout the stack. Large
+/// buffers are recycled through ByteAllocator's per-thread cache.
+using Bytes = std::vector<std::uint8_t, ByteAllocator<std::uint8_t>>;
+
+/// A read-only view of bytes owned elsewhere (a Bytes, or part of one).
+using ByteView = std::span<const std::uint8_t>;
 
 /// Appends `src` to `dst`.
-inline void append_bytes(Bytes& dst, const Bytes& src) {
+inline void append_bytes(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 

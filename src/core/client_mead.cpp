@@ -1,5 +1,7 @@
 #include "core/client_mead.h"
 
+#include <utility>
+
 #include "common/log.h"
 
 namespace mead::core {
@@ -124,9 +126,11 @@ sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
     // Serve buffered clean GIOP bytes first.
     if (!conn->clean.empty()) {
       Bytes& clean = conn->clean;
-      const std::size_t n = std::min(max_bytes, clean.size());
-      Bytes out(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(n));
-      clean.erase(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(n));
+      // All of it fits: hand the buffer over instead of copying it.
+      if (clean.size() <= max_bytes) co_return std::exchange(clean, Bytes{});
+      const auto n = static_cast<std::ptrdiff_t>(max_bytes);
+      Bytes out(clean.begin(), clean.begin() + n);
+      clean.erase(clean.begin(), clean.begin() + n);
       co_return out;
     }
 
@@ -163,7 +167,7 @@ sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
     if (conn == nullptr) {
       co_return make_unexpected(net::NetErr::kBadFd);
     }
-    conn->splitter.feed(data.value());
+    conn->splitter.feed(std::move(data.value()));
     std::optional<net::Endpoint> redirect_to;
     std::string redirect_member;
     for (;;) {
@@ -177,7 +181,11 @@ sim::Task<net::Result<Bytes>> ClientMead::read(int fd, std::size_t max_bytes,
         }
         continue;  // stripped: the ORB never sees MEAD frames
       }
-      append_bytes(conn->clean, frame->data);
+      if (conn->clean.empty()) {
+        conn->clean = std::move(frame->data);
+      } else {
+        append_bytes(conn->clean, frame->data);
+      }
     }
     if (redirect_to) {
       LogLine(proc_->sim().log(), LogLevel::kInfo, "mead")

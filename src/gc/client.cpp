@@ -5,7 +5,8 @@
 namespace mead::gc {
 
 namespace {
-constexpr std::size_t kReadChunk = 64 * 1024;
+// Room for a whole frame, so each delivered chunk comes back uncopied.
+constexpr std::size_t kReadChunk = 4 + kMaxFrameLen;
 }
 
 GcClient::GcClient(net::Process& proc, std::string member_name,
@@ -96,7 +97,7 @@ sim::Task<Expected<std::size_t, net::NetErr>> GcClient::pump() {
     co_return make_unexpected(data.error());
   }
   if (data->empty()) co_return make_unexpected(net::NetErr::kPeerReset);
-  framer_.feed(data.value());
+  framer_.feed(std::move(data.value()));
   const std::size_t before = buffered_.size();
   decode_frames();
   co_return buffered_.size() - before;
@@ -120,7 +121,7 @@ sim::Task<Expected<std::optional<Event>, net::NetErr>> GcClient::next_event(
       co_return make_unexpected(data.error());
     }
     if (data->empty()) co_return make_unexpected(net::NetErr::kPeerReset);
-    framer_.feed(data.value());
+    framer_.feed(std::move(data.value()));
     decode_frames();
   }
 }

@@ -9,7 +9,8 @@
 namespace mead::gc {
 
 namespace {
-constexpr std::size_t kReadChunk = 64 * 1024;
+// Room for a whole frame, so each delivered chunk comes back uncopied.
+constexpr std::size_t kReadChunk = 4 + kMaxFrameLen;
 constexpr Duration kConnectRetry = milliseconds(10);
 // Scaled plane: a destination's pending batch flushes at whichever cap it
 // reaches first, or kBatchFlush (δt) after its first frame.
@@ -255,10 +256,16 @@ void GcDaemon::spawn_write(int fd, Bytes data) {
 }
 
 void GcDaemon::mesh_send(int fd, const Bytes& frame) {
-  if (!cfg_.plane.sharded) {
-    spawn_write(fd, frame);
-    return;
-  }
+  if (cfg_.plane.sharded) return batch_append(fd, frame);
+  spawn_write(fd, frame);
+}
+
+void GcDaemon::mesh_send(int fd, Bytes&& frame) {
+  if (cfg_.plane.sharded) return batch_append(fd, frame);
+  spawn_write(fd, std::move(frame));
+}
+
+void GcDaemon::batch_append(int fd, const Bytes& frame) {
   Batch& b = batches_.try_emplace(fd);
   append_bytes(b.buf, frame);
   ++b.frames;
@@ -279,11 +286,15 @@ void GcDaemon::direct_send(int fd, Bytes data) {
   spawn_write(fd, std::move(data));
 }
 
-void GcDaemon::direct_broadcast(const Bytes& wire, int skip_fd) {
+void GcDaemon::direct_broadcast(Bytes wire, int skip_fd) {
+  int last_fd = -1;
   for (const auto& [peer, fd] : peer_fds_) {
     (void)peer;
-    if (fd != skip_fd) direct_send(fd, wire);
+    if (fd == skip_fd) continue;
+    if (last_fd >= 0) direct_send(last_fd, wire);
+    last_fd = fd;
   }
+  if (last_fd >= 0) direct_send(last_fd, std::move(wire));
 }
 
 void GcDaemon::flush_batch(int fd) {
@@ -319,7 +330,7 @@ sim::Task<void> GcDaemon::connection_loop(int fd) {
     if (!data || data->empty()) break;  // EOF or error
     ConnState* st = conns_.find(fd);
     if (st == nullptr) co_return;
-    st->framer.feed(data.value());
+    st->framer.feed(std::move(data.value()));
     for (;;) {
       // Re-find each iteration: handling a frame can erase this fd's entry.
       st = conns_.find(fd);
@@ -443,12 +454,16 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       const std::uint64_t from_peer = st.peer_id;
       const bool fresh = handle_ordered(m.value(), slot(m->group));
       if (fresh && !bridge_targets_.empty()) {
-        const Bytes wire = encode_ordered(m.value());
+        Bytes wire = encode_ordered(m.value());
+        int last_fd = -1;
         for (std::uint64_t target : bridge_targets_) {
           if (target == from_peer) continue;
           auto pfd = peer_fds_.find(target);
-          if (pfd != peer_fds_.end()) mesh_send(pfd->second, wire);
+          if (pfd == peer_fds_.end()) continue;
+          if (last_fd >= 0) mesh_send(last_fd, wire);
+          last_fd = pfd->second;
         }
+        if (last_fd >= 0) mesh_send(last_fd, std::move(wire));
       }
       break;
     }
@@ -538,7 +553,7 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
 
 void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
   m.seq = next_seq_++;
-  const Bytes wire = encode_ordered(m);
+  Bytes wire = encode_ordered(m);
   // One broadcast per ordered message, recorded at the stamper — the
   // event-level view of the Figure 5 bandwidth measurement.
   auto& obs = proc_->sim().obs();
@@ -572,17 +587,24 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
       }
     }
   }
+  // Every recipient but the last gets a copy; the last takes `wire`.
+  int last_fd = -1;
+  auto send_to = [&](int fd) {
+    if (last_fd >= 0) mesh_send(last_fd, wire);
+    last_fd = fd;
+  };
   if (scoped) {
     for (std::uint64_t d : interested) {
       auto fd = peer_fds_.find(d);
-      if (fd != peer_fds_.end()) mesh_send(fd->second, wire);
+      if (fd != peer_fds_.end()) send_to(fd->second);
     }
   } else {
     for (auto& [peer, fd] : peer_fds_) {
       (void)peer;
-      mesh_send(fd, wire);
+      send_to(fd);
     }
   }
+  if (last_fd >= 0) mesh_send(last_fd, std::move(wire));
   handle_ordered(m, s);
 }
 

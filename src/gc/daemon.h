@@ -247,12 +247,18 @@ class GcDaemon {
   void write_to_local(const GroupSlot& g, Encode encode);
   void spawn_write(int fd, Bytes data);
   /// Mesh write that may be coalesced into the fd's pending FrameBatch.
+  /// Unbatched, the rvalue overload moves the frame into the write, so a
+  /// broadcast's last peer takes the buffer instead of a copy; batched,
+  /// both append it to the batch.
   void mesh_send(int fd, const Bytes& frame);
+  void mesh_send(int fd, Bytes&& frame);
+  void batch_append(int fd, const Bytes& frame);
   /// Unbatched write; flushes the fd's pending batch first so control
   /// frames never overtake batched ordered traffic (FIFO per link).
   void direct_send(int fd, Bytes data);
-  /// direct_send to every linked peer except `skip_fd`, in peer-id order.
-  void direct_broadcast(const Bytes& wire, int skip_fd = -1);
+  /// direct_send to every linked peer except `skip_fd`, in peer-id order;
+  /// the last one takes `wire`.
+  void direct_broadcast(Bytes wire, int skip_fd = -1);
   void flush_batch(int fd);
   sim::Task<void> batch_flush_task(int fd, std::uint64_t epoch);
   [[nodiscard]] std::uint64_t sequencer_id() const;

@@ -195,7 +195,7 @@ Bytes encode_seq_watermark(const SeqWatermarkMsg& m) {
   return finish_frame(w);
 }
 
-Bytes wrap_frame_batch(const Bytes& payload) {
+Bytes wrap_frame_batch(ByteView payload) {
   CdrWriter w = frame_writer(Op::kFrameBatch, payload.size());
   w.write_raw(payload);
   return finish_frame(w);
@@ -218,7 +218,7 @@ constexpr std::size_t kMinString = giop::kMinCdrString;
 constexpr std::size_t kMinSnapshot = kMinString + 8 + 4 + 4;
 
 template <typename F>
-auto decode_with(const Bytes& payload, F&& fn)
+auto decode_with(ByteView payload, F&& fn)
     -> WireResult<std::decay_t<decltype(*fn(std::declval<CdrReader&>()))>> {
   CdrReader r(payload, ByteOrder::kLittleEndian);
   auto out = fn(r);
@@ -228,7 +228,7 @@ auto decode_with(const Bytes& payload, F&& fn)
 
 }  // namespace
 
-WireResult<HelloMsg> decode_hello(const Bytes& payload) {
+WireResult<HelloMsg> decode_hello(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<HelloMsg> {
     auto name = r.read_string();
     if (!name) return std::nullopt;
@@ -236,7 +236,7 @@ WireResult<HelloMsg> decode_hello(const Bytes& payload) {
   });
 }
 
-WireResult<GroupMsg> decode_group(const Bytes& payload) {
+WireResult<GroupMsg> decode_group(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<GroupMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
@@ -244,7 +244,7 @@ WireResult<GroupMsg> decode_group(const Bytes& payload) {
   });
 }
 
-WireResult<McastMsg> decode_mcast(const Bytes& payload) {
+WireResult<McastMsg> decode_mcast(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<McastMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
@@ -254,7 +254,7 @@ WireResult<McastMsg> decode_mcast(const Bytes& payload) {
   });
 }
 
-WireResult<DeliverMsg> decode_deliver(const Bytes& payload) {
+WireResult<DeliverMsg> decode_deliver(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<DeliverMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
@@ -269,7 +269,7 @@ WireResult<DeliverMsg> decode_deliver(const Bytes& payload) {
   });
 }
 
-WireResult<ViewMsg> decode_view(const Bytes& payload) {
+WireResult<ViewMsg> decode_view(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<ViewMsg> {
     auto g = r.read_string();
     if (!g) return std::nullopt;
@@ -288,7 +288,7 @@ WireResult<ViewMsg> decode_view(const Bytes& payload) {
   });
 }
 
-WireResult<PeerHelloMsg> decode_peer_hello(const Bytes& payload) {
+WireResult<PeerHelloMsg> decode_peer_hello(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<PeerHelloMsg> {
     auto id = r.read_u64();
     if (!id) return std::nullopt;
@@ -296,7 +296,7 @@ WireResult<PeerHelloMsg> decode_peer_hello(const Bytes& payload) {
   });
 }
 
-WireResult<OrderedMsg> decode_ordered_like(const Bytes& payload) {
+WireResult<OrderedMsg> decode_ordered_like(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<OrderedMsg> {
     OrderedMsg m;
     auto seq = r.read_u64();
@@ -324,7 +324,7 @@ WireResult<OrderedMsg> decode_ordered_like(const Bytes& payload) {
   });
 }
 
-WireResult<HeartbeatMsg> decode_heartbeat(const Bytes& payload) {
+WireResult<HeartbeatMsg> decode_heartbeat(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<HeartbeatMsg> {
     auto id = r.read_u64();
     if (!id) return std::nullopt;
@@ -332,7 +332,7 @@ WireResult<HeartbeatMsg> decode_heartbeat(const Bytes& payload) {
   });
 }
 
-WireResult<RejoinMsg> decode_rejoin(const Bytes& payload) {
+WireResult<RejoinMsg> decode_rejoin(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<RejoinMsg> {
     auto d = r.read_u64();
     if (!d) return std::nullopt;
@@ -346,7 +346,7 @@ WireResult<RejoinMsg> decode_rejoin(const Bytes& payload) {
   });
 }
 
-WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
+WireResult<StateSyncMsg> decode_state_sync(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<StateSyncMsg> {
     StateSyncMsg m;
     auto next = r.read_u64();
@@ -393,7 +393,7 @@ WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload) {
   });
 }
 
-WireResult<BridgeMsg> decode_bridge(const Bytes& payload) {
+WireResult<BridgeMsg> decode_bridge(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<BridgeMsg> {
     auto d = r.read_u64();
     if (!d) return std::nullopt;
@@ -403,7 +403,7 @@ WireResult<BridgeMsg> decode_bridge(const Bytes& payload) {
   });
 }
 
-WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload) {
+WireResult<AliveSetMsg> decode_alive_set(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<AliveSetMsg> {
     auto n = r.read_u32();
     if (!n) return std::nullopt;
@@ -418,7 +418,7 @@ WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload) {
   });
 }
 
-WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload) {
+WireResult<SeqWatermarkMsg> decode_seq_watermark(ByteView payload) {
   return decode_with(payload, [](CdrReader& r) -> std::optional<SeqWatermarkMsg> {
     auto d = r.read_u64();
     if (!d) return std::nullopt;
@@ -428,7 +428,7 @@ WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload) {
   });
 }
 
-WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
+WireResult<std::vector<Frame>> decode_frame_batch(ByteView payload) {
   std::vector<Frame> out;
   std::size_t pos = 0;
   while (pos < payload.size()) {
@@ -446,11 +446,10 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
     if (static_cast<Op>(op) == Op::kFrameBatch) {  // batches never nest
       return make_unexpected(WireErr::kMalformed);
     }
-    Frame f;
-    f.op = static_cast<Op>(op);
-    f.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos + 5),
-                     payload.begin() + static_cast<std::ptrdiff_t>(pos + 4 + len));
-    out.push_back(std::move(f));
+    // Each sub-frame copies its body out: a batch carries small frames,
+    // and at most one large one (a sender flushes once it reaches 8 KiB).
+    const ByteView body = payload.subspan(pos + 5, len - 1);
+    out.emplace_back(static_cast<Op>(op), Bytes(body.begin(), body.end()), 0);
     pos += 4 + len;
   }
   if (out.empty()) return make_unexpected(WireErr::kMalformed);
@@ -459,7 +458,13 @@ WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload) {
 
 // ---- framing ----
 
-void LenFramer::feed(const Bytes& chunk) {
+void LenFramer::feed(Bytes chunk) {
+  if (buffered() == 0) {
+    // Nothing pending: the chunk becomes the buffer, uncopied.
+    buf_ = std::move(chunk);
+    head_ = 0;
+    return;
+  }
   // Consumed frames are dropped here, once per chunk, rather than by an
   // erase per frame (quadratic when one chunk carries many frames).
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
@@ -475,20 +480,25 @@ std::optional<Frame> LenFramer::next() {
                       (static_cast<std::uint32_t>(p[1]) << 8) |
                       (static_cast<std::uint32_t>(p[2]) << 16) |
                       (static_cast<std::uint32_t>(p[3]) << 24);
-  if (len == 0 || len > 16 * 1024 * 1024) {  // sanity cap
+  if (len == 0 || len > kMaxFrameLen) {  // sanity cap
     corrupt_ = true;
     return std::nullopt;
   }
-  if (buffered() < 4 + static_cast<std::size_t>(len)) return std::nullopt;
+  const std::size_t frame_len = 4 + static_cast<std::size_t>(len);
+  if (buffered() < frame_len) return std::nullopt;
   if (!valid_op(p[4])) {
     corrupt_ = true;
     return std::nullopt;
   }
-  Frame f;
-  f.op = static_cast<Op>(p[4]);
-  f.payload.assign(p + 5, p + 4 + len);
-  head_ += 4 + static_cast<std::size_t>(len);
-  return f;
+  const auto op = static_cast<Op>(p[4]);
+  if (buffered() == frame_len) {
+    // The frame ends the buffer: it takes the buffer whole.
+    Frame f(op, std::move(buf_), head_ + 5);  // leaves buf_ empty
+    head_ = 0;
+    return f;
+  }
+  head_ += frame_len;
+  return Frame(op, Bytes(p + 5, p + frame_len), 0);
 }
 
 }  // namespace mead::gc

@@ -214,27 +214,52 @@ Bytes encode_seq_watermark(const SeqWatermarkMsg& m);
 
 enum class WireErr { kTruncated, kMalformed, kUnknownOp };
 
-struct Frame {
-  Op op = Op::kHello;
-  Bytes payload;  // CDR body (no length/opcode)
+/// Longest frame the framer accepts (length prefix excluded). Readers on
+/// GC sockets ask for at least this much, so a whole delivered frame comes
+/// back from one read.
+constexpr std::size_t kMaxFrameLen = 16 * 1024 * 1024;
+
+/// One frame off the stream. It owns the bytes it arrived in (often the
+/// whole delivered chunk), and `payload` views its CDR body (no length or
+/// opcode) inside them, so the view stays valid wherever the frame moves,
+/// whatever happens to the framer or connection it came from. Move-only:
+/// a copy would have to re-point the view.
+class Frame {
+ public:
+  /// Frames `bytes`, whose CDR body starts at `body_at` and runs to the end.
+  Frame(Op o, Bytes bytes, std::size_t body_at)
+      : bytes_(std::move(bytes)), op(o),
+        payload(ByteView(bytes_).subspan(body_at)) {}
+  // A moved vector hands over its buffer, so the view stays put.
+  Frame(Frame&&) noexcept = default;
+  Frame& operator=(Frame&&) noexcept = default;
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+ private:
+  Bytes bytes_;  // declared first: payload is initialised from it
+
+ public:
+  Op op;
+  ByteView payload;
 };
 
 template <typename T>
 using WireResult = Expected<T, WireErr>;
 
-WireResult<HelloMsg> decode_hello(const Bytes& payload);
-WireResult<GroupMsg> decode_group(const Bytes& payload);
-WireResult<McastMsg> decode_mcast(const Bytes& payload);
-WireResult<DeliverMsg> decode_deliver(const Bytes& payload);
-WireResult<ViewMsg> decode_view(const Bytes& payload);
-WireResult<PeerHelloMsg> decode_peer_hello(const Bytes& payload);
-WireResult<OrderedMsg> decode_ordered_like(const Bytes& payload);
-WireResult<HeartbeatMsg> decode_heartbeat(const Bytes& payload);
-WireResult<RejoinMsg> decode_rejoin(const Bytes& payload);
-WireResult<StateSyncMsg> decode_state_sync(const Bytes& payload);
-WireResult<BridgeMsg> decode_bridge(const Bytes& payload);
-WireResult<AliveSetMsg> decode_alive_set(const Bytes& payload);
-WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload);
+WireResult<HelloMsg> decode_hello(ByteView payload);
+WireResult<GroupMsg> decode_group(ByteView payload);
+WireResult<McastMsg> decode_mcast(ByteView payload);
+WireResult<DeliverMsg> decode_deliver(ByteView payload);
+WireResult<ViewMsg> decode_view(ByteView payload);
+WireResult<PeerHelloMsg> decode_peer_hello(ByteView payload);
+WireResult<OrderedMsg> decode_ordered_like(ByteView payload);
+WireResult<HeartbeatMsg> decode_heartbeat(ByteView payload);
+WireResult<RejoinMsg> decode_rejoin(ByteView payload);
+WireResult<StateSyncMsg> decode_state_sync(ByteView payload);
+WireResult<BridgeMsg> decode_bridge(ByteView payload);
+WireResult<AliveSetMsg> decode_alive_set(ByteView payload);
+WireResult<SeqWatermarkMsg> decode_seq_watermark(ByteView payload);
 
 // ---- frame batching ----
 //
@@ -246,18 +271,23 @@ WireResult<SeqWatermarkMsg> decode_seq_watermark(const Bytes& payload);
 /// Wraps already-encoded frames (concatenated wire bytes) into one
 /// kFrameBatch frame. `frames` must be non-zero; `payload` must hold
 /// exactly that many complete frames.
-Bytes wrap_frame_batch(const Bytes& payload);
+Bytes wrap_frame_batch(ByteView payload);
 /// Convenience for tests: encodes `frames` individually and wraps them.
 Bytes encode_frame_batch(const std::vector<Bytes>& frames);
 /// Splits a kFrameBatch payload back into frames. Rejects empty batches,
 /// truncated sub-frames (kTruncated), unknown sub-frame opcodes
 /// (kUnknownOp), and nested batches (kMalformed).
-WireResult<std::vector<Frame>> decode_frame_batch(const Bytes& payload);
+WireResult<std::vector<Frame>> decode_frame_batch(ByteView payload);
 
 /// Reassembles length-prefixed frames from a byte stream.
+///
+/// Frames take their bytes rather than copy them where they can: feed()
+/// adopts a chunk when nothing is buffered, and next() hands the whole
+/// buffer to a frame that ends it. Only a frame with more bytes behind it
+/// is copied out.
 class LenFramer {
  public:
-  void feed(const Bytes& chunk);
+  void feed(Bytes chunk);
   /// Next complete frame; nullopt if more bytes needed. Malformed input sets
   /// corrupt() permanently.
   std::optional<Frame> next();

@@ -25,12 +25,12 @@ void CdrWriter::write_string(std::string_view s) {
   buf_.push_back(0);
 }
 
-void CdrWriter::write_octet_seq(const Bytes& bytes) {
+void CdrWriter::write_octet_seq(ByteView bytes) {
   write_u32(static_cast<std::uint32_t>(bytes.size()));
   put_bytes(bytes.data(), bytes.size());
 }
 
-void CdrWriter::write_raw(const Bytes& bytes) {
+void CdrWriter::write_raw(ByteView bytes) {
   put_bytes(bytes.data(), bytes.size());
 }
 

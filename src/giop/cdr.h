@@ -86,9 +86,9 @@ class CdrWriter {
   /// CDR string: u32 length including NUL, characters, NUL.
   void write_string(std::string_view s);
   /// sequence<octet>: u32 length + raw bytes.
-  void write_octet_seq(const Bytes& bytes);
+  void write_octet_seq(ByteView bytes);
   /// Raw bytes with no length prefix (caller manages framing).
-  void write_raw(const Bytes& bytes);
+  void write_raw(ByteView bytes);
   /// `n` zero bytes with no length prefix (padding).
   void write_zeros(std::size_t n) { buf_.resize(buf_.size() + n); }
 
@@ -116,8 +116,9 @@ class CdrWriter {
 /// The reader does not copy: `buf` must outlive it.
 class CdrReader {
  public:
-  CdrReader(const Bytes& buf, ByteOrder order,
-            std::size_t start_offset = 0)
+  /// Reads `buf`, which must outlive the reader. A Bytes converts
+  /// implicitly; so does a frame's payload view.
+  CdrReader(ByteView buf, ByteOrder order, std::size_t start_offset = 0)
       : data_(buf.data()), size_(buf.size()), order_(order),
         swap_(order != native_byte_order()), pos_(start_offset),
         base_(start_offset) {}

@@ -226,7 +226,12 @@ Bytes encode_close_connection(ByteOrder order) {
 
 // --------------------------------------------------------- FrameBuffer
 
-void FrameBuffer::feed(const Bytes& chunk) {
+void FrameBuffer::feed(Bytes chunk) {
+  if (buffered() == 0) {
+    buf_ = std::move(chunk);
+    head_ = 0;
+    return;
+  }
   // Consumed messages are dropped here, once per chunk, rather than by an
   // erase per message (quadratic when one chunk carries many messages).
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
@@ -244,6 +249,9 @@ std::optional<FrameBuffer::Frame> FrameBuffer::next() {
   }
   const std::size_t total = kHeaderSize + h->body_size;
   if (buffered() < total) return std::nullopt;
+  if (head_ == 0 && buf_.size() == total) {
+    return Frame{h.value(), std::move(buf_)};  // leaves buf_ empty
+  }
   const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
   Bytes msg(first, first + static_cast<std::ptrdiff_t>(total));
   head_ += total;

@@ -156,10 +156,12 @@ class FrameBuffer {
     Bytes data;  // full message, header included
   };
 
-  void feed(const Bytes& chunk);
+  /// Adopts `chunk` uncopied when nothing is buffered.
+  void feed(Bytes chunk);
 
   /// Returns the next complete message, nullopt if more bytes are needed.
-  /// A malformed stream sets corrupt() and yields nullopt forever.
+  /// A message that is the whole buffer takes it uncopied. A malformed
+  /// stream sets corrupt() and yields nullopt forever.
   std::optional<Frame> next();
 
   [[nodiscard]] bool corrupt() const { return corrupt_; }

@@ -4,8 +4,9 @@
 // the payload byte-by-byte in, and every read copied bytes out and then
 // erased them from the front — O(n²) over a streamed GIOP conversation.
 // ByteQueue keeps the delivered payloads as whole chunks (push is a move)
-// and consumes them through a front offset, so a read is one coalescing
-// copy of exactly the bytes returned and nothing is ever shifted.
+// and consumes them through a front offset, so nothing is ever shifted, and
+// a read that starts at a delivery boundary hands the delivered buffer
+// itself to the reader.
 #pragma once
 
 #include <cstddef>
@@ -29,20 +30,24 @@ class ByteQueue {
     chunks_.push_back(std::move(chunk));
   }
 
-  /// Removes and returns exactly min(max_bytes, size()) bytes, coalesced
-  /// across chunk boundaries — the same bytes, in the same order, a
-  /// contiguous inbox would produce. When a read consumes a whole untouched
-  /// chunk, that chunk is moved out without copying.
+  /// Removes and returns the next bytes of the stream, at most
+  /// `max_bytes` of them. When the front chunk is untouched and fits, that
+  /// chunk alone is moved out, uncopied: a short read at a delivery
+  /// boundary, as a POSIX stream read may return. Otherwise — the front
+  /// chunk is partly read, or larger than `max_bytes` — exactly
+  /// min(max_bytes, size()) bytes are copied out, coalesced across chunk
+  /// boundaries in stream order.
   [[nodiscard]] Bytes pop(std::size_t max_bytes) {
-    const std::size_t n = max_bytes < size_ ? max_bytes : size_;
-    if (n == 0) return {};
-    size_ -= n;
+    if (size_ == 0 || max_bytes == 0) return {};
     Bytes& front = chunks_.front();
-    if (offset_ == 0 && front.size() == n) {
+    if (offset_ == 0 && front.size() <= max_bytes) {
+      size_ -= front.size();
       Bytes out = std::move(front);
       chunks_.pop_front();
       return out;
     }
+    const std::size_t n = max_bytes < size_ ? max_bytes : size_;
+    size_ -= n;
     Bytes out;
     out.reserve(n);
     std::size_t remaining = n;

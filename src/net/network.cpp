@@ -436,9 +436,8 @@ sim::Task<Result<Bytes>> ProcessSocketApi::read(int fd, std::size_t max_bytes,
     detail::ConnEnd& end = ref->end();
     if (end.local_closed) co_return make_unexpected(NetErr::kClosed);
     if (!end.inbox.empty()) {
-      // Same bytes a contiguous inbox would return — min(max_bytes,
-      // available), coalesced across delivery boundaries — without the
-      // front-erase shuffle.
+      // The stream's next bytes: a whole delivered chunk when one fits,
+      // else a coalesced copy (ByteQueue::pop).
       co_return end.inbox.pop(max_bytes);
     }
     if (end.eof) co_return Bytes{};  // clean EOF

@@ -41,6 +41,9 @@ class SocketApi {
 
   /// Reads up to `max_bytes`. Blocks until data, EOF (returns an empty
   /// buffer), timeout (kTimeout) or error. No timeout = block indefinitely.
+  /// Like a POSIX stream read it may return fewer bytes than are
+  /// available: a read starting at a delivery boundary returns that one
+  /// delivered buffer if it fits (see net::ByteQueue::pop).
   virtual sim::Task<Result<Bytes>> read(
       int fd, std::size_t max_bytes,
       std::optional<Duration> timeout = std::nullopt) = 0;

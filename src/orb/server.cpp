@@ -40,7 +40,7 @@ sim::Task<void> OrbServer::serve_connection(int fd) {
   for (;;) {
     auto data = co_await orb_.api().read(fd, kReadChunk);
     if (!data || data->empty()) break;  // EOF / error / killed
-    frames.feed(data.value());
+    frames.feed(std::move(data.value()));
     for (;;) {
       auto frame = frames.next();
       if (!frame) break;

@@ -137,7 +137,7 @@ sim::Task<InvokeResult> Stub::invoke(std::string operation, Bytes args) {
           co_return co_await fail(giop::SysExKind::kCommFailure,
                                   giop::CompletionStatus::kMaybe);
         }
-        frames_.feed(data.value());
+        frames_.feed(std::move(data.value()));
         if (frames_.corrupt()) {
           drop_connection();
           co_return co_await fail(giop::SysExKind::kMarshal,

@@ -144,6 +144,28 @@ TEST(FrameBufferTest, ThousandBackToBackMessagesInOneChunk) {
   EXPECT_EQ(decode_request(f->data)->request_id, kMessages + 1);
 }
 
+TEST(FrameBufferTest, AMessageThatIsTheWholeChunkTakesItUncopied) {
+  FrameBuffer fb;
+  Bytes one = sample_request(1);
+  const std::uint8_t* const one_data = one.data();
+  fb.feed(std::move(one));
+  auto f = fb.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->data.data(), one_data);
+  EXPECT_EQ(decode_request(f->data)->request_id, 1u);
+  // Two messages in one chunk: each is copied out, in order.
+  Bytes two = sample_request(2);
+  append_bytes(two, sample_request(3));
+  fb.feed(two);
+  auto second = fb.next();
+  auto third = fb.next();
+  ASSERT_TRUE(second.has_value() && third.has_value());
+  EXPECT_EQ(decode_request(second->data)->request_id, 2u);
+  EXPECT_EQ(decode_request(third->data)->request_id, 3u);
+  EXPECT_EQ(third->data, sample_request(3));
+  EXPECT_EQ(fb.buffered(), 0u);
+}
+
 class FragmentationSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FragmentationSweepTest, AnyChunkSizeReassembles) {
