@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the substrate: CDR marshaling,
-// GIOP message codec, stream framing, object-key hashing (the §4.1
+// GIOP message codec, byte-buffer copies against memcpy, stream framing, object-key hashing (the §4.1
 // optimization's real CPU side), the simulation kernel, and a full
 // in-simulator client/server round trip. main() additionally hand-times
 // the three kernel-path benches and writes BENCH_micro.json so CI keeps a
@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 
 #include "app/experiment_client.h"
 #include "app/testbed.h"
@@ -73,6 +74,61 @@ void BM_GiopRequestDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_GiopRequestDecode)->Arg(0)->Arg(1024);
+
+// Bytes against the memcpy floor (ROADMAP item 4's acceptance): a copy
+// is one allocation and a memcpy, an append into reserved room a memcpy.
+void BM_BytesCopy(benchmark::State& state) {
+  const Bytes src(static_cast<std::size_t>(state.range(0)), 0x5A);
+  for (auto _ : state) {
+    Bytes copy = src;
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BytesCopy)->Arg(2048)->Arg(12 * 1024);
+
+void BM_MemcpyCopy(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Bytes src(n, 0x5A);
+  for (auto _ : state) {
+    auto* copy = static_cast<std::uint8_t*>(::operator new(n));
+    std::memcpy(copy, src.data(), n);
+    benchmark::DoNotOptimize(copy);
+    benchmark::ClobberMemory();
+    ::operator delete(copy, n);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MemcpyCopy)->Arg(2048)->Arg(12 * 1024);
+
+void BM_BytesAppend(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Bytes src(n, 0x5A);
+  Bytes dst;
+  dst.reserve(n);
+  for (auto _ : state) {
+    dst.clear();
+    dst.append(src);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BytesAppend)->Arg(2048)->Arg(12 * 1024);
+
+void BM_MemcpyAppend(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Bytes src(n, 0x5A);
+  Bytes dst(n);
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), n);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MemcpyAppend)->Arg(2048)->Arg(12 * 1024);
 
 void BM_FrameBufferSplit(benchmark::State& state) {
   Bytes stream;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cassert>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -29,6 +30,13 @@ class Expected {
  public:
   Expected(T value) : data_(std::in_place_index<0>, std::move(value)) {}  // NOLINT(google-explicit-constructor)
   Expected(Unexpected<E> e) : data_(std::in_place_index<1>, std::move(e.error)) {}  // NOLINT(google-explicit-constructor)
+  /// From an Expected of another value type, as std::expected converts:
+  /// implicit where a U converts to a T implicitly.
+  template <typename U>
+    requires(!std::is_same_v<U, T> && std::is_constructible_v<T, const U&>)
+  explicit(!std::is_convertible_v<const U&, T>) Expected(const Expected<U, E>& o)  // NOLINT(google-explicit-constructor)
+      : data_(o.has_value() ? std::variant<T, E>(std::in_place_index<0>, o.value())
+                            : std::variant<T, E>(std::in_place_index<1>, o.error())) {}
 
   [[nodiscard]] bool has_value() const { return data_.index() == 0; }
   [[nodiscard]] bool ok() const { return has_value(); }

@@ -1,5 +1,5 @@
 // Fundamental value types shared by every module: virtual time, identifiers,
-// and byte-buffer aliases.
+// and the byte buffer (common/bytes.h).
 //
 // All simulation time in this project is *virtual* time maintained by the
 // discrete-event kernel (sim::Simulator). We use dedicated nanosecond-based
@@ -9,11 +9,10 @@
 
 #include <cstdint>
 #include <compare>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/byte_alloc.h"
+#include "common/bytes.h"
 
 namespace mead {
 
@@ -69,18 +68,6 @@ class TimePoint {
  private:
   std::int64_t ns_ = 0;
 };
-
-/// Raw octet sequence, used for wire messages throughout the stack. Large
-/// buffers are recycled through ByteAllocator's per-thread cache.
-using Bytes = std::vector<std::uint8_t, ByteAllocator<std::uint8_t>>;
-
-/// A read-only view of bytes owned elsewhere (a Bytes, or part of one).
-using ByteView = std::span<const std::uint8_t>;
-
-/// Appends `src` to `dst`.
-inline void append_bytes(Bytes& dst, ByteView src) {
-  dst.insert(dst.end(), src.begin(), src.end());
-}
 
 /// Strongly-typed integral identifier. `Tag` is an empty struct that makes
 /// each instantiation a distinct type (NodeId vs ProcessId vs ...).

@@ -90,7 +90,7 @@ Bytes encode_failover_frame(const FailoverMsg& m) {
   return giop::finish_message(w);
 }
 
-std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame) {
+std::optional<FailoverMsg> decode_failover_frame(ByteView frame) {
   auto h = giop::decode_header(frame);
   if (!h || h->magic != giop::Magic::kMead) return std::nullopt;
   if (frame.size() < giop::kHeaderSize + h->body_size) return std::nullopt;
@@ -269,7 +269,7 @@ Bytes encode_reply_cache(const ReplyCache& m) {
   return w.take();
 }
 
-std::optional<CtrlMsg> decode_ctrl(const Bytes& payload) {
+std::optional<CtrlMsg> decode_ctrl(ByteView payload) {
   if (payload.empty()) return std::nullopt;
   CtrlMsg msg;
   const auto kind = payload[0];

@@ -35,7 +35,7 @@ struct FailoverMsg {
 /// Full 12-byte-header "MEAD" frame ready to prepend to a GIOP reply.
 Bytes encode_failover_frame(const FailoverMsg& m);
 /// Decodes the body of a frame whose header.magic == kMead.
-std::optional<FailoverMsg> decode_failover_frame(const Bytes& frame);
+std::optional<FailoverMsg> decode_failover_frame(ByteView frame);
 
 // ---- group-communication control payloads ----
 
@@ -348,13 +348,13 @@ struct CtrlMsg {
   std::optional<ReplyCache> reply_cache;  // kReplyCache
 };
 
-std::optional<CtrlMsg> decode_ctrl(const Bytes& payload);
+std::optional<CtrlMsg> decode_ctrl(ByteView payload);
 
 /// The kind byte of a control payload, read without decoding the body, so
 /// a consumer drops the kinds it never acts on before paying for them.
 /// Unknown kinds pass through (decode_ctrl rejects them); nullopt only for
 /// an empty payload.
-inline std::optional<CtrlKind> peek_ctrl_kind(const Bytes& payload) {
+inline std::optional<CtrlKind> peek_ctrl_kind(ByteView payload) {
   if (payload.empty()) return std::nullopt;
   return static_cast<CtrlKind>(payload[0]);
 }

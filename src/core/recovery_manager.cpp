@@ -114,7 +114,7 @@ sim::Task<void> RecoveryManager::pump() {
     const bool first_rm_view = core_.rm_view().members.empty();
     std::vector<RmAction> carried;
     if (may_promote) carried = core_.resume_actions();
-    auto actions = core_.on_event(event);
+    auto actions = core_.on_event(std::move(event));
     // Readmission requests are the one action class a non-acting shell
     // must still execute: a retired core emits them for itself, and a
     // retired replica is by definition not acting.

@@ -124,7 +124,7 @@ std::optional<GroupView> RmCore::view(const std::string& service) const {
   return out;
 }
 
-RmCore::Actions RmCore::on_event(const gc::Event& event) {
+RmCore::Actions RmCore::on_event(gc::Event event) {
   Actions out;
   if (readmit_anchor_seen_) {
     // A readmission is in flight and our own request has passed in the
@@ -149,7 +149,7 @@ RmCore::Actions RmCore::on_event(const gc::Event& event) {
       // handle_rm_view below issue a fresh request to the new acting.
       drain_readmit_buffer(out);
     } else {
-      readmit_buffer_.push_back(event);
+      readmit_buffer_.push_back(std::move(event));
       return out;
     }
   }

@@ -200,7 +200,7 @@ class RmCore {
 
   /// An ordered GC event from any joined group (replica / control /
   /// read-set groups of every target, plus rm_group() when replicated).
-  [[nodiscard]] Actions on_event(const gc::Event& event);
+  [[nodiscard]] Actions on_event(gc::Event event);
   /// A node died. Solo shells apply their crash observation directly;
   /// replicated shells multicast kNodeCrash on rm_group() instead, which
   /// loops back through on_event. Idempotent.

@@ -58,10 +58,11 @@ void GcClient::decode_frames() {
         if (!m) break;
         Event ev;
         ev.kind = Event::Kind::kMessage;
-        ev.group = std::move(m->group);
-        ev.sender = std::move(m->sender);
+        ev.group = m->group;
+        ev.sender = m->sender;
         ev.seq = m->seq;
-        ev.payload = std::move(m->payload);
+        ev.payload = m->payload;
+        ev.frame = std::move(*frame);  // the bytes move, the view stays
         buffered_.push_back(std::move(ev));
         break;
       }

@@ -102,17 +102,17 @@ void GcDaemon::flush_pending() {
   // accumulates at a daemon that owned the stamping role for them).
   auto foreign = std::move(stamp_wait_);
   stamp_wait_.clear();
-  for (auto& m : foreign) route_submit(std::move(m), /*from_fd=*/-1);
+  for (auto& f : foreign) route_submit(std::move(f), /*from_fd=*/-1);
   // Our own pending submissions. stamp_and_dispatch -> handle_ordered
-  // erases the entry from pending_, so iterate over a snapshot.
-  for (auto& m : pending_snapshot()) route_submit(std::move(m), /*from_fd=*/-1);
+  // erases the entry from pending_, so iterate over a snapshot of ids.
+  for (std::uint64_t id : pending_ids()) route_pending(id);
 }
 
-std::vector<OrderedMsg> GcDaemon::pending_snapshot() const {
-  std::vector<OrderedMsg> mine;
-  mine.reserve(pending_.size());
-  for (const auto& [id, m] : pending_) mine.push_back(m);
-  return mine;
+std::vector<std::uint64_t> GcDaemon::pending_ids() const {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(pending_.size());
+  for (const auto& entry : pending_) ids.push_back(entry.first);
+  return ids;
 }
 
 std::string GcDaemon::reply_group_of(const std::string& member) {
@@ -255,17 +255,12 @@ void GcDaemon::spawn_write(int fd, Bytes data) {
   proc_->sim().spawn(writer(*proc_, fd, std::move(data)));
 }
 
-void GcDaemon::mesh_send(int fd, const Bytes& frame) {
+void GcDaemon::mesh_send(int fd, ByteView frame) {
   if (cfg_.plane.sharded) return batch_append(fd, frame);
-  spawn_write(fd, frame);
+  spawn_write(fd, Bytes(frame));
 }
 
-void GcDaemon::mesh_send(int fd, Bytes&& frame) {
-  if (cfg_.plane.sharded) return batch_append(fd, frame);
-  spawn_write(fd, std::move(frame));
-}
-
-void GcDaemon::batch_append(int fd, const Bytes& frame) {
+void GcDaemon::batch_append(int fd, ByteView frame) {
   Batch& b = batches_.try_emplace(fd);
   append_bytes(b.buf, frame);
   ++b.frames;
@@ -348,7 +343,7 @@ sim::Task<void> GcDaemon::connection_loop(int fd) {
   if (st->role == ConnState::Role::kPeer) handle_peer_gone(st->peer_id, fd);
 }
 
-void GcDaemon::handle_frame(int fd, const Frame& frame) {
+void GcDaemon::handle_frame(int fd, Frame& frame) {
   ConnState* found = conns_.find(fd);
   if (found == nullptr) return;
   ConnState& st = *found;
@@ -378,21 +373,20 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       auto m = decode_group(frame.payload);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.insert(m->group);
-      submit(PayloadKind::kJoin, std::move(m->group), st.client_name);
+      submit(PayloadKind::kJoin, m->group, st.client_name);
       break;
     }
     case Op::kLeave: {
       auto m = decode_group(frame.payload);
       if (!m || st.role != ConnState::Role::kClient) return;
       st.joined.erase(m->group);
-      submit(PayloadKind::kLeave, std::move(m->group), st.client_name);
+      submit(PayloadKind::kLeave, m->group, st.client_name);
       break;
     }
     case Op::kMcast: {
       auto m = decode_mcast(frame.payload);
       if (!m || st.role != ConnState::Role::kClient) return;
-      submit(PayloadKind::kData, std::move(m->group), st.client_name,
-             std::move(m->payload));
+      submit(PayloadKind::kData, m->group, st.client_name, m->payload);
       break;
     }
     case Op::kPeerHello: {
@@ -421,12 +415,9 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       on_peer_link_up();
       break;
     }
-    case Op::kSubmit: {
-      auto m = decode_ordered_like(frame.payload);
-      if (!m) return;
-      route_submit(std::move(m.value()), fd);
+    case Op::kSubmit:
+      route_submit(std::move(frame), fd);
       break;
-    }
     case Op::kRejoin: {
       auto m = decode_rejoin(frame.payload);
       if (!m) return;
@@ -454,16 +445,11 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       const std::uint64_t from_peer = st.peer_id;
       const bool fresh = handle_ordered(m.value(), slot(m->group));
       if (fresh && !bridge_targets_.empty()) {
-        Bytes wire = encode_ordered(m.value());
-        int last_fd = -1;
         for (std::uint64_t target : bridge_targets_) {
           if (target == from_peer) continue;
           auto pfd = peer_fds_.find(target);
-          if (pfd == peer_fds_.end()) continue;
-          if (last_fd >= 0) mesh_send(last_fd, wire);
-          last_fd = pfd->second;
+          if (pfd != peer_fds_.end()) mesh_send(pfd->second, frame.wire());
         }
-        if (last_fd >= 0) mesh_send(last_fd, std::move(wire));
       }
       break;
     }
@@ -483,7 +469,7 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
       if (!frames) return;
       // Unpack and handle in order; batches never nest, so this recursion
       // is depth one.
-      for (const Frame& f : frames.value()) handle_frame(fd, f);
+      for (Frame& f : frames.value()) handle_frame(fd, f);
       break;
     }
     case Op::kBridge: {
@@ -504,29 +490,28 @@ void GcDaemon::handle_frame(int fd, const Frame& frame) {
   }
 }
 
-void GcDaemon::submit(PayloadKind kind, std::string group, std::string member,
-                      Bytes payload) {
-  OrderedMsg m;
+void GcDaemon::submit(PayloadKind kind, std::string_view group,
+                      std::string_view member, ByteView payload) {
+  OrderedView m;
   m.kind = kind;
-  m.group = std::move(group);
-  m.member = std::move(member);
-  m.payload = std::move(payload);
+  m.group = group;
+  m.member = member;
+  m.payload = payload;
   m.origin = cfg_.self_index;
   m.msg_id = next_msg_id_++;
-  pending_.emplace(m.msg_id, m);
+  pending_.emplace(m.msg_id, Frame(Op::kSubmit, encode_submit(m)));
   if (!mesh_ready()) return;  // flushed by on_peer_link_up()
   // If the stamper link is down, handle_peer_gone will resubmit.
-  route_submit(std::move(m), /*from_fd=*/-1);
+  route_pending(m.msg_id);
 }
 
-void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
+GcDaemon::Route GcDaemon::route(const GroupSlot& s, ByteView wire, int from_fd) {
   // Only the group's stamper stamps (the global sequencer in legacy mode).
   // A submit that reaches the wrong daemon means the sender's notion of the
   // stamper is stale (a rejoin or takeover just reseated it); relay toward
   // the daemon we believe owns it rather than dropping, so the origin need
   // not wait for a resubmit cycle. Before our mesh is complete, stamping
   // would lose the dispatch to not-yet-connected daemons, so park it.
-  GroupSlot& s = slot(m.group);
   const std::uint64_t owner = stamper_for(s);
   if (owner != cfg_.self_index) {
     auto it = peer_fds_.find(owner);
@@ -539,28 +524,66 @@ void GcDaemon::route_submit(OrderedMsg m, int from_fd) {
         it = peer_fds_.end();
       }
     }
-    if (it != peer_fds_.end()) {
-      mesh_send(it->second, encode_submit(m));
-    }
-    return;
+    if (it != peer_fds_.end()) mesh_send(it->second, wire);
+    return Route::kSent;
   }
-  if (!mesh_ready()) {
-    stamp_wait_.push_back(std::move(m));
-    return;
-  }
-  stamp_and_dispatch(std::move(m), s);
+  return mesh_ready() ? Route::kStamp : Route::kPark;
 }
 
-void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
-  m.seq = next_seq_++;
-  Bytes wire = encode_ordered(m);
+void GcDaemon::route_submit(Frame f, int from_fd) {
+  auto m = decode_ordered_like(f.payload);
+  if (!m) return;
+  GroupSlot& s = slot(m->group);
+  switch (route(s, f.wire(), from_fd)) {
+    case Route::kSent:
+      return;
+    case Route::kPark:
+      stamp_wait_.push_back(std::move(f));
+      return;
+    case Route::kStamp:
+      stamp_and_dispatch(f, s);
+      return;
+  }
+}
+
+void GcDaemon::route_pending(std::uint64_t msg_id) {
+  auto it = pending_.find(msg_id);
+  if (it == pending_.end()) return;
+  const Frame& f = it->second;
+  GroupSlot& s = slot(decode_ordered_like(f.payload)->group);  // ours: valid
+  switch (route(s, f.wire(), /*from_fd=*/-1)) {
+    case Route::kSent:
+      return;
+    case Route::kPark:
+      stamp_wait_.emplace_back(Op::kSubmit, Bytes(f.wire()));
+      return;
+    case Route::kStamp:
+      stamp_pending(msg_id);
+      return;
+  }
+}
+
+void GcDaemon::stamp_pending(std::uint64_t msg_id) {
+  auto node = pending_.extract(msg_id);
+  if (node.empty()) return;
+  Frame& f = node.mapped();
+  GroupSlot& s = slot(decode_ordered_like(f.payload)->group);
+  if (stamp_and_dispatch(f, s)) return;
+  f.restamp(Op::kSubmit, 0);
+  pending_.insert(std::move(node));
+}
+
+bool GcDaemon::stamp_and_dispatch(Frame& f, GroupSlot& s) {
+  f.restamp(Op::kOrdered, next_seq_++);
+  const OrderedView m = decode_ordered_like(f.payload).value();
+  const ByteView wire = f.wire();
   // One broadcast per ordered message, recorded at the stamper — the
   // event-level view of the Figure 5 bandwidth measurement.
   auto& obs = proc_->sim().obs();
   broadcasts_.add();
   broadcast_bytes_.add(wire.size());
   obs.emit(obs::EventKind::kGcBroadcast, "daemon/" + std::to_string(id()),
-           m.group, static_cast<double>(wire.size()));
+           std::string(m.group), static_cast<double>(wire.size()));
   if (cfg_.plane.sharded) shard_stamped_.add();
 
   bool scoped = cfg_.plane.sharded && m.kind == PayloadKind::kData;
@@ -587,25 +610,20 @@ void GcDaemon::stamp_and_dispatch(OrderedMsg m, GroupSlot& s) {
       }
     }
   }
-  // Every recipient but the last gets a copy; the last takes `wire`.
-  int last_fd = -1;
-  auto send_to = [&](int fd) {
-    if (last_fd >= 0) mesh_send(last_fd, wire);
-    last_fd = fd;
-  };
+  // Every recipient gets a copy: the frame stays put for handle_ordered's
+  // views.
   if (scoped) {
     for (std::uint64_t d : interested) {
       auto fd = peer_fds_.find(d);
-      if (fd != peer_fds_.end()) send_to(fd->second);
+      if (fd != peer_fds_.end()) mesh_send(fd->second, wire);
     }
   } else {
     for (auto& [peer, fd] : peer_fds_) {
       (void)peer;
-      send_to(fd);
+      mesh_send(fd, wire);
     }
   }
-  if (last_fd >= 0) mesh_send(last_fd, std::move(wire));
-  handle_ordered(m, s);
+  return handle_ordered(m, s);
 }
 
 template <typename Encode>
@@ -626,7 +644,7 @@ void GcDaemon::write_to_local(const GroupSlot& g, Encode encode) {
   if (last_fd >= 0) spawn_write(last_fd, std::move(wire));
 }
 
-bool GcDaemon::handle_ordered(const OrderedMsg& m, GroupSlot& s) {
+bool GcDaemon::handle_ordered(const OrderedView& m, GroupSlot& s) {
   // At-least-once dedupe: msg ids are strictly increasing and FIFO along
   // each (group, origin) stamping path, so a high-water mark per path
   // suffices (see GroupSlot::done). On the legacy plane every message
@@ -653,7 +671,7 @@ bool GcDaemon::handle_ordered(const OrderedMsg& m, GroupSlot& s) {
   auto it = std::find(s.members.begin(), s.members.end(), m.member);
   if (join == (it != s.members.end())) return true;
   if (join) {
-    s.members.push_back(m.member);
+    s.members.emplace_back(m.member);
     s.homes.push_back(m.origin);
   } else {
     s.homes.erase(s.homes.begin() + (it - s.members.begin()));
@@ -661,7 +679,7 @@ bool GcDaemon::handle_ordered(const OrderedMsg& m, GroupSlot& s) {
   }
   s.view_id = m.seq;
   write_to_local(s, [&] {
-    return encode_view(ViewMsg{m.group, s.view_id, s.members});
+    return encode_view(ViewMsg{std::string(m.group), s.view_id, s.members});
   });
   return true;
 }
@@ -701,9 +719,7 @@ sim::Task<void> GcDaemon::delayed_member_death(std::string member,
     const bool alive_after_wait = co_await proc_->sleep(Duration{ns});
     if (!alive_after_wait) co_return;
   }
-  for (auto& g : groups) {
-    submit(PayloadKind::kLeave, std::move(g), member);
-  }
+  for (const auto& g : groups) submit(PayloadKind::kLeave, g, member);
 }
 
 void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
@@ -727,23 +743,18 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
     auto wm = peer_watermarks_.find(peer_id);
     bump_seq_past(wm == peer_watermarks_.end() ? 0 : wm->second);
     peer_watermarks_.erase(peer_id);
-    for (auto& m : pending_snapshot()) route_submit(std::move(m), /*from_fd=*/-1);
+    for (std::uint64_t id : pending_ids()) route_pending(id);
   } else if (sequencer_died && is_sequencer()) {
     // Takeover: jump the sequence domain so stale in-flight stamps can't
-    // collide, then resubmit our unordered messages (snapshot: dispatch
+    // collide, then stamp our unordered messages (snapshot: dispatch
     // erases entries from pending_).
     next_seq_ += 1024;
-    for (auto& m : pending_snapshot()) {
-      GroupSlot& s = slot(m.group);
-      stamp_and_dispatch(std::move(m), s);
-    }
+    for (std::uint64_t id : pending_ids()) stamp_pending(id);
   } else if (sequencer_died) {
     // Resubmit pending to the new sequencer.
     auto it = peer_fds_.find(sequencer_id());
     if (it != peer_fds_.end()) {
-      for (const auto& [id, m] : pending_) {
-        mesh_send(it->second, encode_submit(m));
-      }
+      for (const auto& [id, f] : pending_) mesh_send(it->second, f.wire());
     }
   }
 
@@ -763,8 +774,8 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
       if (dead_daemons_.contains(g.homes[i])) orphans.push_back(g.members[i]);
     }
     std::sort(orphans.begin(), orphans.end());
-    for (auto& member : orphans) {
-      submit(PayloadKind::kLeave, gname, std::move(member));
+    for (const auto& member : orphans) {
+      submit(PayloadKind::kLeave, gname, member);
     }
   }
 

@@ -201,9 +201,10 @@ class GcDaemon {
 
   void on_peer_link_up();
   void flush_pending();
-  /// Copy of pending_ in submission order (dispatch erases entries).
-  [[nodiscard]] std::vector<OrderedMsg> pending_snapshot() const;
-  void handle_frame(int fd, const Frame& frame);
+  /// pending_'s msg ids in submission order (dispatch erases entries).
+  [[nodiscard]] std::vector<std::uint64_t> pending_ids() const;
+  /// Stamping restamps kSubmit frames in place, so frames are mutable.
+  void handle_frame(int fd, Frame& frame);
   void handle_client_gone(int fd);
   /// `fd` is the link that ended; a stale fd superseded by a rejoin dial is
   /// ignored so tearing down the old link can't kill the new one.
@@ -228,31 +229,44 @@ class GcDaemon {
   [[nodiscard]] StateSyncMsg snapshot_state() const;
   /// Keeps our stamps above a foreign sequence domain (the takeover jump).
   void bump_seq_past(std::uint64_t foreign_next_seq);
-  /// Originates an ordered message from this daemon.
-  void submit(PayloadKind kind, std::string group, std::string member,
-              Bytes payload = {});
-  /// Send a submit to its stamper, or relay it via the lowest-id linked
-  /// peer while that stamper is alive but unlinked (the bridged regime);
-  /// stamps (or parks, before the mesh is complete) if the stamper is us.
-  /// `from_fd` is the link it arrived on (-1 for local), never relayed back.
-  void route_submit(OrderedMsg m, int from_fd);
-  void stamp_and_dispatch(OrderedMsg m, GroupSlot& s);
+  /// Originates an ordered message from this daemon: encodes its kSubmit
+  /// frame, the one copy of `payload` it makes, into pending_ and routes it.
+  void submit(PayloadKind kind, std::string_view group,
+              std::string_view member, ByteView payload = {});
+  /// What route() decided for a submission.
+  enum class Route { kSent, kPark, kStamp };
+  /// Sends a copy of the kSubmit frame `wire` for `s` to its stamper, or
+  /// relays it via the lowest-id linked peer while that stamper is alive
+  /// but unlinked (the bridged regime); kSent also covers a stamper with
+  /// no route. If the stamper is us: kPark before the mesh is complete,
+  /// else kStamp. `from_fd` is the link it arrived on (-1 for local),
+  /// never relayed back.
+  Route route(const GroupSlot& s, ByteView wire, int from_fd);
+  /// Routes a foreign kSubmit frame, parking or stamping it here if route()
+  /// says so.
+  void route_submit(Frame f, int from_fd);
+  /// Routes our pending submission `msg_id`; parking parks a copy.
+  void route_pending(std::uint64_t msg_id);
+  /// Stamps our pending submission `msg_id` here. Its frame leaves pending_
+  /// for the dispatch, and goes back as a kSubmit frame if it was stale.
+  void stamp_pending(std::uint64_t msg_id);
+  /// Restamps the kSubmit frame `f` as the next kOrdered one in place,
+  /// writes a copy to each recipient daemon, and applies it here; returns
+  /// handle_ordered's freshness.
+  bool stamp_and_dispatch(Frame& f, GroupSlot& s);
   /// Applies `m` unless already applied; returns whether it was fresh.
   /// Dedupe is a high-water mark per (group, origin): see GroupSlot::done.
-  bool handle_ordered(const OrderedMsg& m, GroupSlot& s);
+  bool handle_ordered(const OrderedView& m, GroupSlot& s);
   /// Writes `encode()` to every member of `g` homed here whose client is
   /// connected, encoding only if one exists; the last write takes the
   /// buffer instead of a copy.
   template <typename Encode>
   void write_to_local(const GroupSlot& g, Encode encode);
   void spawn_write(int fd, Bytes data);
-  /// Mesh write that may be coalesced into the fd's pending FrameBatch.
-  /// Unbatched, the rvalue overload moves the frame into the write, so a
-  /// broadcast's last peer takes the buffer instead of a copy; batched,
-  /// both append it to the batch.
-  void mesh_send(int fd, const Bytes& frame);
-  void mesh_send(int fd, Bytes&& frame);
-  void batch_append(int fd, const Bytes& frame);
+  /// Mesh write of a copy of `frame`, coalesced into the fd's pending
+  /// FrameBatch on the scaled plane.
+  void mesh_send(int fd, ByteView frame);
+  void batch_append(int fd, ByteView frame);
   /// Unbatched write; flushes the fd's pending batch first so control
   /// frames never overtake batched ordered traffic (FIFO per link).
   void direct_send(int fd, Bytes data);
@@ -325,10 +339,11 @@ class GcDaemon {
   /// Last kSeqWatermark per peer (scaled plane): the takeover floor used
   /// when a shard owner dies.
   std::map<std::uint64_t, std::uint64_t> peer_watermarks_;
-  /// Ours, not yet seen ordered, by msg id (so in submission order); a
-  /// delivery retires its entry by key (sharded ids are not FIFO).
-  std::map<std::uint64_t, OrderedMsg> pending_;
-  std::deque<OrderedMsg> stamp_wait_;   // foreign submits awaiting mesh
+  /// Ours, not yet seen ordered, by msg id (so in submission order), as
+  /// their kSubmit frames; a delivery retires its entry by key (sharded
+  /// ids are not FIFO).
+  std::map<std::uint64_t, Frame> pending_;
+  std::deque<Frame> stamp_wait_;  // kSubmit frames parked until the mesh forms
   std::uint64_t delivered_count_ = 0;
 
   SlotMap slots_;

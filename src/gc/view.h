@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
+#include "gc/wire.h"
 
 namespace mead::gc {
 
@@ -32,7 +34,9 @@ struct View {
   friend bool operator==(const View&, const View&) = default;
 };
 
-/// What a group-communication client receives.
+/// What a group-communication client receives. A message event keeps the
+/// kDeliver frame it arrived in, and its payload views that frame's bytes:
+/// valid as long as the event, wherever it moves. Move-only, like Frame.
 struct Event {
   enum class Kind { kMessage, kView };
 
@@ -41,9 +45,10 @@ struct Event {
   Kind kind = Kind::kMessage;
   std::string group;
   std::string sender;   // kMessage only
-  Bytes payload;        // kMessage only
+  ByteView payload;     // kMessage only: views `frame`
   std::uint64_t seq = 0;
   View view;            // kView only
+  std::optional<Frame> frame;  // kMessage only
 };
 
 }  // namespace mead::gc

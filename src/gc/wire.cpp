@@ -86,8 +86,8 @@ Bytes encode_mcast(const McastMsg& m) {
 
 namespace {
 
-Bytes deliver_frame(const std::string& group, const std::string& sender,
-                    std::uint64_t seq, const Bytes& payload) {
+Bytes deliver_frame(std::string_view group, std::string_view sender,
+                    std::uint64_t seq, ByteView payload) {
   CdrWriter w = frame_writer(
       Op::kDeliver, 32 + group.size() + sender.size() + payload.size());
   w.write_string(group);
@@ -103,7 +103,7 @@ Bytes encode_deliver(const DeliverMsg& m) {
   return deliver_frame(m.group, m.sender, m.seq, m.payload);
 }
 
-Bytes encode_deliver(const OrderedMsg& m) {
+Bytes encode_deliver(const OrderedView& m) {
   return deliver_frame(m.group, m.member, m.seq, m.payload);
 }
 
@@ -124,7 +124,7 @@ Bytes encode_peer_hello(const PeerHelloMsg& m) {
 
 namespace {
 
-Bytes ordered_frame(Op op, const OrderedMsg& m) {
+Bytes ordered_frame(Op op, const OrderedView& m) {
   CdrWriter w = frame_writer(
       op, 48 + m.group.size() + m.member.size() + m.payload.size());
   w.write_u64(m.seq);
@@ -139,8 +139,17 @@ Bytes ordered_frame(Op op, const OrderedMsg& m) {
 
 }  // namespace
 
-Bytes encode_submit(const OrderedMsg& m) { return ordered_frame(Op::kSubmit, m); }
+Bytes encode_submit(const OrderedView& m) { return ordered_frame(Op::kSubmit, m); }
 Bytes encode_ordered(const OrderedMsg& m) { return ordered_frame(Op::kOrdered, m); }
+
+void Frame::restamp(Op o, std::uint64_t seq) {
+  std::uint8_t* frame = bytes_.data() + at_;
+  frame[kOpAt] = static_cast<std::uint8_t>(o);
+  for (std::size_t i = 0; i < 8; ++i) {  // little-endian, as CdrWriter
+    frame[kFrameHeader + i] = static_cast<std::uint8_t>(seq >> (8 * i));
+  }
+  op = o;
+}
 
 Bytes encode_heartbeat(const HeartbeatMsg& m) {
   CdrWriter w = frame_writer(Op::kHeartbeat);
@@ -244,28 +253,27 @@ WireResult<GroupMsg> decode_group(ByteView payload) {
   });
 }
 
-WireResult<McastMsg> decode_mcast(ByteView payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<McastMsg> {
-    auto g = r.read_string();
+WireResult<McastView> decode_mcast(ByteView payload) {
+  return decode_with(payload, [](CdrReader& r) -> std::optional<McastView> {
+    auto g = r.read_string_view();
     if (!g) return std::nullopt;
-    auto p = r.read_octet_seq();
+    auto p = r.read_octet_view();
     if (!p) return std::nullopt;
-    return McastMsg{std::move(g.value()), std::move(p.value())};
+    return McastView{g.value(), p.value()};
   });
 }
 
-WireResult<DeliverMsg> decode_deliver(ByteView payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<DeliverMsg> {
-    auto g = r.read_string();
+WireResult<DeliverView> decode_deliver(ByteView payload) {
+  return decode_with(payload, [](CdrReader& r) -> std::optional<DeliverView> {
+    auto g = r.read_string_view();
     if (!g) return std::nullopt;
-    auto s = r.read_string();
+    auto s = r.read_string_view();
     if (!s) return std::nullopt;
     auto q = r.read_u64();
     if (!q) return std::nullopt;
-    auto p = r.read_octet_seq();
+    auto p = r.read_octet_view();
     if (!p) return std::nullopt;
-    return DeliverMsg{std::move(g.value()), std::move(s.value()), q.value(),
-                      std::move(p.value())};
+    return DeliverView{g.value(), s.value(), q.value(), p.value()};
   });
 }
 
@@ -296,9 +304,9 @@ WireResult<PeerHelloMsg> decode_peer_hello(ByteView payload) {
   });
 }
 
-WireResult<OrderedMsg> decode_ordered_like(ByteView payload) {
-  return decode_with(payload, [](CdrReader& r) -> std::optional<OrderedMsg> {
-    OrderedMsg m;
+WireResult<OrderedView> decode_ordered_like(ByteView payload) {
+  return decode_with(payload, [](CdrReader& r) -> std::optional<OrderedView> {
+    OrderedView m;
     auto seq = r.read_u64();
     if (!seq) return std::nullopt;
     m.seq = seq.value();
@@ -311,15 +319,15 @@ WireResult<OrderedMsg> decode_ordered_like(ByteView payload) {
     auto kind = r.read_u8();
     if (!kind || kind.value() > 2) return std::nullopt;
     m.kind = static_cast<PayloadKind>(kind.value());
-    auto g = r.read_string();
+    auto g = r.read_string_view();
     if (!g) return std::nullopt;
-    m.group = std::move(g.value());
-    auto member = r.read_string();
+    m.group = g.value();
+    auto member = r.read_string_view();
     if (!member) return std::nullopt;
-    m.member = std::move(member.value());
-    auto p = r.read_octet_seq();
+    m.member = member.value();
+    auto p = r.read_octet_view();
     if (!p) return std::nullopt;
-    m.payload = std::move(p.value());
+    m.payload = p.value();
     return m;
   });
 }
@@ -446,10 +454,10 @@ WireResult<std::vector<Frame>> decode_frame_batch(ByteView payload) {
     if (static_cast<Op>(op) == Op::kFrameBatch) {  // batches never nest
       return make_unexpected(WireErr::kMalformed);
     }
-    // Each sub-frame copies its body out: a batch carries small frames,
-    // and at most one large one (a sender flushes once it reaches 8 KiB).
-    const ByteView body = payload.subspan(pos + 5, len - 1);
-    out.emplace_back(static_cast<Op>(op), Bytes(body.begin(), body.end()), 0);
+    // Each sub-frame copies its wire bytes out: a batch carries small
+    // frames, and at most one large one (a sender flushes once it reaches
+    // 8 KiB).
+    out.emplace_back(static_cast<Op>(op), Bytes(payload.subspan(pos, 4 + len)));
     pos += 4 + len;
   }
   if (out.empty()) return make_unexpected(WireErr::kMalformed);
@@ -458,47 +466,13 @@ WireResult<std::vector<Frame>> decode_frame_batch(ByteView payload) {
 
 // ---- framing ----
 
-void LenFramer::feed(Bytes chunk) {
-  if (buffered() == 0) {
-    // Nothing pending: the chunk becomes the buffer, uncopied.
-    buf_ = std::move(chunk);
-    head_ = 0;
-    return;
-  }
-  // Consumed frames are dropped here, once per chunk, rather than by an
-  // erase per frame (quadratic when one chunk carries many frames).
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-  head_ = 0;
-  append_bytes(buf_, chunk);
-}
-
-std::optional<Frame> LenFramer::next() {
-  if (corrupt_) return std::nullopt;
-  if (buffered() < 4) return std::nullopt;
-  const std::uint8_t* p = buf_.data() + head_;
-  std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
-                      (static_cast<std::uint32_t>(p[1]) << 8) |
-                      (static_cast<std::uint32_t>(p[2]) << 16) |
-                      (static_cast<std::uint32_t>(p[3]) << 24);
-  if (len == 0 || len > kMaxFrameLen) {  // sanity cap
-    corrupt_ = true;
-    return std::nullopt;
-  }
-  const std::size_t frame_len = 4 + static_cast<std::size_t>(len);
-  if (buffered() < frame_len) return std::nullopt;
-  if (!valid_op(p[4])) {
-    corrupt_ = true;
-    return std::nullopt;
-  }
-  const auto op = static_cast<Op>(p[4]);
-  if (buffered() == frame_len) {
-    // The frame ends the buffer: it takes the buffer whole.
-    Frame f(op, std::move(buf_), head_ + 5);  // leaves buf_ empty
-    head_ = 0;
-    return f;
-  }
-  head_ += frame_len;
-  return Frame(op, Bytes(p + 5, p + frame_len), 0);
+std::size_t FrameRule::frame_size(const std::uint8_t* head) {
+  const std::uint32_t len = static_cast<std::uint32_t>(head[0]) |
+                            (static_cast<std::uint32_t>(head[1]) << 8) |
+                            (static_cast<std::uint32_t>(head[2]) << 16) |
+                            (static_cast<std::uint32_t>(head[3]) << 24);
+  if (len == 0 || len > kMaxFrameLen || !valid_op(head[kOpAt])) return 0;
+  return 4 + static_cast<std::size_t>(len);
 }
 
 }  // namespace mead::gc

@@ -3,18 +3,26 @@
 // daemon<->daemon.
 //
 // Frame layout: u32 little-endian total length (excluding itself), u8 opcode,
-// CDR payload. A dedicated framer (LenFramer) reassembles frames from the
-// byte stream.
+// CDR payload. net::Framer with FrameRule (LenFramer) reassembles frames
+// from the byte stream.
+//
+// Decoders of frames that carry a payload (kMcast, kDeliver, kSubmit and
+// kOrdered) return views into the frame's bytes: strings as string_views,
+// the payload as a ByteView. A submission is encoded once, as a kSubmit
+// frame, at the daemon it enters; the stamper turns that frame into the
+// kOrdered frame in place (Frame::restamp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/expected.h"
 #include "common/types.h"
 #include "giop/cdr.h"
+#include "net/framer.h"
 
 namespace mead::gc {
 
@@ -68,6 +76,12 @@ struct McastMsg {
   Bytes payload;
 };
 
+/// A decoded kMcast frame; views into the frame's bytes.
+struct McastView {
+  std::string_view group;
+  ByteView payload;
+};
+
 struct DeliverMsg {
   DeliverMsg() = default;
   DeliverMsg(std::string g, std::string s, std::uint64_t q, Bytes p)
@@ -76,6 +90,14 @@ struct DeliverMsg {
   std::string sender;
   std::uint64_t seq = 0;
   Bytes payload;
+};
+
+/// A decoded kDeliver frame; views into the frame's bytes.
+struct DeliverView {
+  std::string_view group;
+  std::string_view sender;
+  std::uint64_t seq = 0;
+  ByteView payload;
 };
 
 struct ViewMsg {
@@ -104,6 +126,23 @@ struct OrderedMsg {
   std::string group;
   std::string member;  // sender (kData) or subject member (kJoin/kLeave)
   Bytes payload;
+};
+
+/// A decoded kSubmit or kOrdered frame, or an OrderedMsg seen through
+/// views (as a std::string converts to a std::string_view).
+struct OrderedView {
+  OrderedView() = default;
+  OrderedView(const OrderedMsg& m)  // NOLINT(google-explicit-constructor)
+      : seq(m.seq), origin(m.origin), msg_id(m.msg_id), kind(m.kind),
+        group(m.group), member(m.member), payload(m.payload) {}
+
+  std::uint64_t seq = 0;
+  std::uint64_t origin = 0;
+  std::uint64_t msg_id = 0;
+  PayloadKind kind = PayloadKind::kData;
+  std::string_view group;
+  std::string_view member;
+  ByteView payload;
 };
 
 struct HeartbeatMsg {
@@ -200,11 +239,17 @@ Bytes encode_mcast(const McastMsg& m);
 Bytes encode_deliver(const DeliverMsg& m);
 /// The kDeliver frame of a stamped message, encoded straight from it:
 /// the same bytes as encode_deliver(DeliverMsg{group, member, seq, payload}).
-Bytes encode_deliver(const OrderedMsg& m);
+Bytes encode_deliver(const OrderedView& m);
 Bytes encode_view(const ViewMsg& m);
 Bytes encode_peer_hello(const PeerHelloMsg& m);
-Bytes encode_submit(const OrderedMsg& m);   // opcode kSubmit
-Bytes encode_ordered(const OrderedMsg& m);  // opcode kOrdered
+/// The kSubmit frame of `m`: the one encoding of a submission.
+Bytes encode_submit(const OrderedView& m);
+/// The kOrdered frame of `m`, encoded whole: the reference restamping
+/// must match. The daemon never calls it.
+Bytes encode_ordered(const OrderedMsg& m);
+/// A frame's header: the u32 length, then the opcode.
+inline constexpr std::size_t kFrameHeader = 5;
+inline constexpr std::size_t kOpAt = 4;
 Bytes encode_heartbeat(const HeartbeatMsg& m);
 Bytes encode_rejoin(const RejoinMsg& m);
 Bytes encode_state_sync(const StateSyncMsg& m);
@@ -220,24 +265,36 @@ enum class WireErr { kTruncated, kMalformed, kUnknownOp };
 constexpr std::size_t kMaxFrameLen = 16 * 1024 * 1024;
 
 /// One frame off the stream. It owns the bytes it arrived in (often the
-/// whole delivered chunk), and `payload` views its CDR body (no length or
-/// opcode) inside them, so the view stays valid wherever the frame moves,
-/// whatever happens to the framer or connection it came from. Move-only:
-/// a copy would have to re-point the view.
+/// whole delivered chunk, of which it is the tail), `wire()` views the
+/// frame itself (length prefix, opcode, body) and `payload` its CDR body
+/// inside them, so the views stay valid wherever the frame moves, whatever
+/// happens to the framer or connection it came from. Move-only: a copy
+/// would have to re-point the views.
 class Frame {
  public:
-  /// Frames `bytes`, whose CDR body starts at `body_at` and runs to the end.
-  Frame(Op o, Bytes bytes, std::size_t body_at)
-      : bytes_(std::move(bytes)), op(o),
-        payload(ByteView(bytes_).subspan(body_at)) {}
-  // A moved vector hands over its buffer, so the view stays put.
+  /// The frame whose wire bytes start at `at` in `bytes` and run to the
+  /// end.
+  Frame(Op o, Bytes bytes, std::size_t at = 0)
+      : bytes_(std::move(bytes)), at_(at), op(o),
+        payload(ByteView(bytes_).subspan(at + kFrameHeader)) {}
+  // A moved Bytes hands over its block, so the views stay put.
   Frame(Frame&&) noexcept = default;
   Frame& operator=(Frame&&) noexcept = default;
   Frame(const Frame&) = delete;
   Frame& operator=(const Frame&) = delete;
 
+  /// The frame as it crosses the wire.
+  [[nodiscard]] ByteView wire() const { return ByteView(bytes_).subspan(at_); }
+  /// Writes `o` and `seq` into this kSubmit or kOrdered frame in place:
+  /// restamping the frame of encode_submit(m) as kOrdered with seq s gives
+  /// the bytes of encode_ordered(m) with m.seq = s. The u64 seq sits at
+  /// body offset 0, where the body's CDR stream starts, so it has no
+  /// padding ahead of it.
+  void restamp(Op o, std::uint64_t seq);
+
  private:
-  Bytes bytes_;  // declared first: payload is initialised from it
+  Bytes bytes_;  // declared first: the views are initialised from it
+  std::size_t at_;
 
  public:
   Op op;
@@ -249,11 +306,11 @@ using WireResult = Expected<T, WireErr>;
 
 WireResult<HelloMsg> decode_hello(ByteView payload);
 WireResult<GroupMsg> decode_group(ByteView payload);
-WireResult<McastMsg> decode_mcast(ByteView payload);
-WireResult<DeliverMsg> decode_deliver(ByteView payload);
+WireResult<McastView> decode_mcast(ByteView payload);
+WireResult<DeliverView> decode_deliver(ByteView payload);
 WireResult<ViewMsg> decode_view(ByteView payload);
 WireResult<PeerHelloMsg> decode_peer_hello(ByteView payload);
-WireResult<OrderedMsg> decode_ordered_like(ByteView payload);
+WireResult<OrderedView> decode_ordered_like(ByteView payload);
 WireResult<HeartbeatMsg> decode_heartbeat(ByteView payload);
 WireResult<RejoinMsg> decode_rejoin(ByteView payload);
 WireResult<StateSyncMsg> decode_state_sync(ByteView payload);
@@ -274,30 +331,25 @@ WireResult<SeqWatermarkMsg> decode_seq_watermark(ByteView payload);
 Bytes wrap_frame_batch(ByteView payload);
 /// Convenience for tests: encodes `frames` individually and wraps them.
 Bytes encode_frame_batch(const std::vector<Bytes>& frames);
-/// Splits a kFrameBatch payload back into frames. Rejects empty batches,
-/// truncated sub-frames (kTruncated), unknown sub-frame opcodes
-/// (kUnknownOp), and nested batches (kMalformed).
+/// Splits a kFrameBatch payload back into frames, each a copy of its
+/// sub-frame's wire bytes (header included, like every Frame). Rejects
+/// empty batches, truncated sub-frames (kTruncated), unknown sub-frame
+/// opcodes (kUnknownOp), and nested batches (kMalformed).
 WireResult<std::vector<Frame>> decode_frame_batch(ByteView payload);
 
-/// Reassembles length-prefixed frames from a byte stream.
-///
-/// Frames take their bytes rather than copy them where they can: feed()
-/// adopts a chunk when nothing is buffered, and next() hands the whole
-/// buffer to a frame that ends it. Only a frame with more bytes behind it
-/// is copied out.
-class LenFramer {
- public:
-  void feed(Bytes chunk);
-  /// Next complete frame; nullopt if more bytes needed. Malformed input sets
-  /// corrupt() permanently.
-  std::optional<Frame> next();
-  [[nodiscard]] bool corrupt() const { return corrupt_; }
-  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
-
- private:
-  Bytes buf_;
-  std::size_t head_ = 0;  // bytes of buf_ already handed out as frames
-  bool corrupt_ = false;
+/// How net::Framer splits a GC byte stream: a u32 length (at most
+/// kMaxFrameLen, at least the opcode) and a known opcode.
+struct FrameRule {
+  using Frame = gc::Frame;
+  static constexpr std::size_t kHeaderSize = kFrameHeader;
+  static std::size_t frame_size(const std::uint8_t* head);
+  static Frame make(Bytes buf, std::size_t at) {
+    const auto op = static_cast<Op>(buf[at + kOpAt]);
+    return Frame(op, std::move(buf), at);
+  }
 };
+
+/// Reassembles GC frames from a byte stream.
+using LenFramer = net::Framer<FrameRule>;
 
 }  // namespace mead::gc

@@ -7,8 +7,7 @@ namespace mead::giop {
 // ------------------------------------------------------------- CdrWriter
 
 void CdrWriter::put_bytes(const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const std::uint8_t*>(p);
-  buf_.insert(buf_.end(), bytes, bytes + n);
+  buf_.append(ByteView(static_cast<const std::uint8_t*>(p), n));
 }
 
 void CdrWriter::write_u8(std::uint8_t v) { buf_.push_back(v); }
@@ -67,30 +66,42 @@ CdrResult<double> CdrReader::read_double() {
   return v;
 }
 
-CdrResult<std::string> CdrReader::read_string() {
+CdrResult<std::string_view> CdrReader::read_string_view() {
   auto len = read_u32();
   if (!len) return make_unexpected(len.error());
   if (len.value() == 0) return make_unexpected(CdrErr::kBadString);
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
   const std::size_t n = len.value() - 1;  // exclude NUL
   if (data_[pos_ + n] != 0) return make_unexpected(CdrErr::kBadString);
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+  std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += len.value();
   return s;
 }
 
-CdrResult<Bytes> CdrReader::read_octet_seq() {
+CdrResult<std::string> CdrReader::read_string() {
+  auto s = read_string_view();
+  if (!s) return make_unexpected(s.error());
+  return std::string(s.value());
+}
+
+CdrResult<ByteView> CdrReader::read_octet_view() {
   auto len = read_u32();
   if (!len) return make_unexpected(len.error());
   if (!has(len.value())) return make_unexpected(CdrErr::kLengthLimit);
-  Bytes out(data_ + pos_, data_ + pos_ + len.value());
+  ByteView out(data_ + pos_, len.value());
   pos_ += len.value();
   return out;
 }
 
+CdrResult<Bytes> CdrReader::read_octet_seq() {
+  auto v = read_octet_view();
+  if (!v) return make_unexpected(v.error());
+  return Bytes(v.value());
+}
+
 CdrResult<Bytes> CdrReader::read_raw(std::size_t n) {
   if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
-  Bytes out(data_ + pos_, data_ + pos_ + n);
+  Bytes out(ByteView(data_ + pos_, n));
   pos_ += n;
   return out;
 }

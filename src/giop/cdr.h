@@ -99,9 +99,9 @@ class CdrWriter {
     if (order_ != native_byte_order()) v = cdr_byteswap(v);
     const std::size_t misalign = (buf_.size() - base_) % sizeof(T);
     const std::size_t pad = misalign == 0 ? 0 : sizeof(T) - misalign;
-    const std::size_t at = buf_.size() + pad;
-    buf_.resize(at + sizeof(T));  // zero-fills the alignment gap
-    std::memcpy(buf_.data() + at, &v, sizeof(T));
+    std::uint8_t* p = buf_.extend(pad + sizeof(T));
+    std::memset(p, 0, pad);  // the alignment gap
+    std::memcpy(p + pad, &v, sizeof(T));
   }
   void put_bytes(const void* p, std::size_t n);
 
@@ -155,6 +155,10 @@ class CdrReader {
   CdrResult<std::string> read_string();
   CdrResult<Bytes> read_octet_seq();
   CdrResult<Bytes> read_raw(std::size_t n);
+  /// read_string and read_octet_seq without the copy: views into the
+  /// input, valid as long as it is.
+  CdrResult<std::string_view> read_string_view();
+  CdrResult<ByteView> read_octet_view();
   /// Steps over `n` bytes without copying them (padding, ignored fields).
   CdrResult<void> skip(std::size_t n) {
     if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);

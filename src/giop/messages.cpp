@@ -64,7 +64,7 @@ Bytes encode_header(const Header& h) {
   return out;
 }
 
-MsgResult<Header> decode_header(const Bytes& buf, std::size_t offset) {
+MsgResult<Header> decode_header(ByteView buf, std::size_t offset) {
   if (buf.size() < offset + kHeaderSize) {
     return make_unexpected(MsgErr::kTruncated);
   }
@@ -105,7 +105,7 @@ Bytes encode_request(const RequestMessage& req, ByteOrder order) {
   return finish_message(w);
 }
 
-MsgResult<RequestMessage> decode_request(const Bytes& msg) {
+MsgResult<RequestMessage> decode_request(ByteView msg) {
   auto h = decode_header(msg);
   if (!h) return make_unexpected(h.error());
   if (h->magic != Magic::kGiop || h->type != MsgType::kRequest) {
@@ -149,7 +149,7 @@ Bytes encode_reply(const ReplyMessage& rep, ByteOrder order) {
   return finish_message(w);
 }
 
-MsgResult<ReplyMessage> decode_reply(const Bytes& msg) {
+MsgResult<ReplyMessage> decode_reply(ByteView msg) {
   auto h = decode_header(msg);
   if (!h) return make_unexpected(h.error());
   if (h->magic != Magic::kGiop || h->type != MsgType::kReply) {
@@ -224,38 +224,11 @@ Bytes encode_close_connection(ByteOrder order) {
   return finish_message(w);
 }
 
-// --------------------------------------------------------- FrameBuffer
+// --------------------------------------------------------- FrameRule
 
-void FrameBuffer::feed(Bytes chunk) {
-  if (buffered() == 0) {
-    buf_ = std::move(chunk);
-    head_ = 0;
-    return;
-  }
-  // Consumed messages are dropped here, once per chunk, rather than by an
-  // erase per message (quadratic when one chunk carries many messages).
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-  head_ = 0;
-  append_bytes(buf_, chunk);
-}
-
-std::optional<FrameBuffer::Frame> FrameBuffer::next() {
-  if (corrupt_) return std::nullopt;
-  if (buffered() < kHeaderSize) return std::nullopt;
-  auto h = decode_header(buf_, head_);
-  if (!h) {
-    if (h.error() != MsgErr::kTruncated) corrupt_ = true;
-    return std::nullopt;
-  }
-  const std::size_t total = kHeaderSize + h->body_size;
-  if (buffered() < total) return std::nullopt;
-  if (head_ == 0 && buf_.size() == total) {
-    return Frame{h.value(), std::move(buf_)};  // leaves buf_ empty
-  }
-  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
-  Bytes msg(first, first + static_cast<std::ptrdiff_t>(total));
-  head_ += total;
-  return Frame{h.value(), std::move(msg)};
+std::size_t FrameRule::frame_size(const std::uint8_t* head) {
+  auto h = decode_header(ByteView(head, kHeaderSize));
+  return h && h->body_size <= kMaxBodySize ? kHeaderSize + h->body_size : 0;
 }
 
 }  // namespace mead::giop

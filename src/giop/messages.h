@@ -15,6 +15,7 @@
 #include "common/types.h"
 #include "giop/cdr.h"
 #include "giop/types.h"
+#include "net/framer.h"
 
 namespace mead::giop {
 
@@ -81,7 +82,7 @@ CdrWriter message_writer(Magic magic, MsgType type, ByteOrder order,
 /// Takes the message out of `w` and fills in the header's body size.
 Bytes finish_message(CdrWriter& w);
 /// Decodes a 12-byte header from the front of `buf`.
-MsgResult<Header> decode_header(const Bytes& buf, std::size_t offset = 0);
+MsgResult<Header> decode_header(ByteView buf, std::size_t offset = 0);
 
 // ---- Request ----
 
@@ -107,7 +108,7 @@ struct RequestMessage {
 Bytes encode_request(const RequestMessage& req,
                      ByteOrder order = ByteOrder::kLittleEndian);
 /// Parses a complete message (header included). Validates magic/type.
-MsgResult<RequestMessage> decode_request(const Bytes& msg);
+MsgResult<RequestMessage> decode_request(ByteView msg);
 
 // ---- Reply ----
 
@@ -126,7 +127,7 @@ struct ReplyMessage {
 
 Bytes encode_reply(const ReplyMessage& rep,
                    ByteOrder order = ByteOrder::kLittleEndian);
-MsgResult<ReplyMessage> decode_reply(const Bytes& msg);
+MsgResult<ReplyMessage> decode_reply(ByteView msg);
 
 /// Convenience constructors for the reply flavours used by the recovery
 /// schemes.
@@ -145,32 +146,32 @@ Bytes encode_close_connection(ByteOrder order = ByteOrder::kLittleEndian);
 
 // ---- Stream framing ----
 
-/// Incremental splitter for a TCP byte stream carrying GIOP and/or MEAD
-/// messages. Feed raw reads; take complete messages (header + body).
-class FrameBuffer {
- public:
+/// Longest message body the framer accepts; a larger claimed size is a
+/// corrupt stream.
+inline constexpr std::uint32_t kMaxBodySize = 16 * 1024 * 1024;
+
+/// How net::Framer splits a TCP byte stream carrying GIOP and/or MEAD
+/// messages: a message is its 12-byte header and the body it sizes.
+struct FrameRule {
   struct Frame {
     Frame() = default;
     Frame(Header h, Bytes b) : header(h), data(std::move(b)) {}
     Header header;
     Bytes data;  // full message, header included
   };
-
-  /// Adopts `chunk` uncopied when nothing is buffered.
-  void feed(Bytes chunk);
-
-  /// Returns the next complete message, nullopt if more bytes are needed.
-  /// A message that is the whole buffer takes it uncopied. A malformed
-  /// stream sets corrupt() and yields nullopt forever.
-  std::optional<Frame> next();
-
-  [[nodiscard]] bool corrupt() const { return corrupt_; }
-  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
-
- private:
-  Bytes buf_;
-  std::size_t head_ = 0;  // bytes of buf_ already handed out as messages
-  bool corrupt_ = false;
+  static constexpr std::size_t kHeaderSize = giop::kHeaderSize;
+  static std::size_t frame_size(const std::uint8_t* head);
+  /// A message that ends a buffer holding earlier ones keeps the buffer,
+  /// its consumed head dropped in place.
+  static Frame make(Bytes buf, std::size_t at) {
+    buf.erase_prefix(at);
+    const Header h = decode_header(buf).value();
+    return Frame{h, std::move(buf)};
+  }
 };
+
+/// Incremental splitter for a TCP byte stream carrying GIOP and/or MEAD
+/// messages. Feed raw reads; take complete messages (header + body).
+using FrameBuffer = net::Framer<FrameRule>;
 
 }  // namespace mead::giop

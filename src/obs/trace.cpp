@@ -75,7 +75,13 @@ void append_json_string(std::string& out, std::string_view s) {
 /// Extracts the raw text of `"key":<...>` up to the next unquoted ',' or
 /// '}'. Returns empty if absent.
 std::string_view raw_field(std::string_view line, std::string_view key) {
-  const std::string probe = "\"" + std::string(key) + "\":";
+  // `"key":`, built by appends: GCC 12 reports a false -Wrestrict on the
+  // operator+ chain.
+  std::string probe;
+  probe.reserve(key.size() + 3);
+  probe += '"';
+  probe += key;
+  probe += "\":";
   const auto pos = line.find(probe);
   if (pos == std::string_view::npos) return {};
   std::size_t i = pos + probe.size();

@@ -7,7 +7,10 @@
 // run whose cost grows with the invocation count; start() (world bring-up)
 // is excluded. A simulation is deterministic, so the count repeats exactly
 // for a given build. Large allocations (64 KiB and up) are also counted
-// apart: those are the checkpoint buffers that cross the GC plane.
+// apart: those are the checkpoint buffers that cross the GC plane. So are
+// buffers of 4 KiB and up, counted as operator new calls plus the blocks
+// the large-buffer cache hands back instead of one: each copy of a
+// checkpoint payload into a buffer of its own takes one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,9 +23,11 @@
 namespace {
 
 constexpr std::size_t kLargeAllocation = 64 * 1024;
+constexpr std::size_t kPayloadAllocation = 4 * 1024;
 
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_large_allocations{0};
+std::atomic<std::uint64_t> g_payload_allocations{0};
 
 }  // namespace
 
@@ -30,6 +35,9 @@ void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (n >= kLargeAllocation) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n >= kPayloadAllocation) {
+    g_payload_allocations.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
@@ -89,7 +97,7 @@ TEST(AllocBudgetTest, MeadMessageStaysUnderBudget) {
 // make 0.13 (26, the caches warming up).
 constexpr double kMaxLargeAllocationsPerCheckpoint = 1;
 
-TEST(AllocBudgetTest, StatefulCheckpointsReuseLargeBuffers) {
+ExperimentSpec stateful_spec() {
   ExperimentSpec spec;
   spec.seed = 2004;
   spec.invocations = kInvocations;
@@ -99,7 +107,11 @@ TEST(AllocBudgetTest, StatefulCheckpointsReuseLargeBuffers) {
   group.state.value_pad = 32;
   group.state.checkpoint_interval = milliseconds(10);
   spec.groups.push_back(group);
-  Experiment exp(spec);
+  return spec;
+}
+
+TEST(AllocBudgetTest, StatefulCheckpointsReuseLargeBuffers) {
+  Experiment exp(stateful_spec());
   ASSERT_TRUE(exp.start());
   const std::uint64_t before = g_large_allocations.load(std::memory_order_relaxed);
   exp.launch_client();
@@ -114,6 +126,39 @@ TEST(AllocBudgetTest, StatefulCheckpointsReuseLargeBuffers) {
   RecordProperty("large_allocations_per_checkpoint", std::to_string(per_checkpoint));
   EXPECT_LE(per_checkpoint, kMaxLargeAllocationsPerCheckpoint)
       << large << " allocations of >= 64 KiB over " << result.ckpt_deltas
+      << " checkpoints";
+}
+
+// The ceiling on buffers of 4 KiB or more taken per checkpoint, from
+// operator new or the large-buffer cache, in the same stateful shape: each
+// is a checkpoint payload copied into a buffer of its own somewhere on its
+// way across the GC plane, or a buffer one grows into. At seed 2004,
+// decoders that copied payloads out of their frames, a second encoding of
+// each submission for pending_ and a fresh encoding of each stamped frame
+// took 0.90 per checkpoint (174 over 194 checkpoints); decoders that view
+// their frames, and submissions encoded once and restamped in place, take
+// 0.57 (110).
+constexpr double kMaxPayloadCopiesPerCheckpoint = 0.6;
+
+TEST(AllocBudgetTest, CheckpointPayloadCopiesPerDelta) {
+  Experiment exp(stateful_spec());
+  ASSERT_TRUE(exp.start());
+  auto buffers = [] {
+    return g_payload_allocations.load(std::memory_order_relaxed) +
+           detail::BufferCache::hits();
+  };
+  const std::uint64_t before = buffers();
+  exp.launch_client();
+  exp.run_to_completion();
+  const std::uint64_t copies = buffers() - before;
+  const ExperimentResult result = exp.collect();
+  EXPECT_EQ(result.total_invocations(), static_cast<std::uint64_t>(kInvocations));
+  ASSERT_GT(result.ckpt_deltas, 0u);
+  const double per_checkpoint =
+      static_cast<double>(copies) / static_cast<double>(result.ckpt_deltas);
+  RecordProperty("payload_allocations_per_checkpoint", std::to_string(per_checkpoint));
+  EXPECT_LE(per_checkpoint, kMaxPayloadCopiesPerCheckpoint)
+      << copies << " buffers of >= 4 KiB over " << result.ckpt_deltas
       << " checkpoints";
 }
 

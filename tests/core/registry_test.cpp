@@ -5,6 +5,14 @@
 namespace mead::core {
 namespace {
 
+/// `prefix` then `i`, by append: GCC 12 reports a false -Wrestrict on
+/// "literal" + std::to_string(i) at -O3.
+std::string numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 Announce make_announce(const std::string& member, const std::string& host,
                        std::uint16_t port) {
   return Announce{member, net::Endpoint{host, port},
@@ -59,8 +67,7 @@ TEST_F(RegistryTest, FirstSkipsUnannouncedMembers) {
 TEST_F(RegistryTest, NextAfterCyclesInViewOrder) {
   reg_.on_view(view_of({"r1", "r2", "r3"}));
   for (int i = 1; i <= 3; ++i) {
-    reg_.on_announce(make_announce("r" + std::to_string(i),
-                                   "node" + std::to_string(i),
+    reg_.on_announce(make_announce(numbered("r", i), numbered("node", i),
                                    static_cast<std::uint16_t>(20000 + i)));
   }
   EXPECT_EQ(reg_.next_after("r1")->member, "r2");
@@ -134,8 +141,7 @@ TEST_F(RegistryTest, LookupByKeyHashValidates) {
 TEST_F(RegistryTest, ViewShrinkingToEmptyClearsEverything) {
   reg_.on_view(view_of({"r1", "r2", "r3"}));
   for (int i = 1; i <= 3; ++i) {
-    reg_.on_announce(make_announce("r" + std::to_string(i),
-                                   "node" + std::to_string(i),
+    reg_.on_announce(make_announce(numbered("r", i), numbered("node", i),
                                    static_cast<std::uint16_t>(20000 + i)));
   }
   ASSERT_EQ(reg_.known_count(), 3u);

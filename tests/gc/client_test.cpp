@@ -134,5 +134,52 @@ TEST_F(GcClientTest, WaitForViewSetsAsideOtherEvents) {
   EXPECT_EQ(messages_after[0], "hi");
 }
 
+TEST_F(GcClientTest, EventPayloadOutlivesRefeedsAndTheClient) {
+  // A message event views the frame it arrived in, so its payload stays
+  // valid while the client's framer is refed with later traffic, and after
+  // the client itself is gone.
+  auto a = make_client("node1", "keeper");
+  auto b = make_client("node2", "sender");
+  Bytes big(100'000);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 7);
+  std::vector<Event> kept;
+
+  auto keep = [](GcClient& gc, std::vector<Event>& out) -> sim::Task<void> {
+    (void)co_await gc.join("grp");
+    for (;;) {
+      auto ev = co_await gc.next_event(milliseconds(100));
+      if (!ev || !ev.value()) co_return;
+      if (ev.value()->kind == Event::Kind::kMessage) out.push_back(std::move(*ev.value()));
+    }
+  };
+  auto send = [](net::Process& p, GcClient& gc, Bytes payload) -> sim::Task<void> {
+    (void)co_await gc.join("grp");
+    const bool alive = co_await p.sleep(milliseconds(10));
+    if (!alive) co_return;
+    (void)co_await gc.multicast("grp", payload);
+    for (std::uint8_t i = 0; i < 20; ++i) {
+      (void)co_await gc.multicast("grp", Bytes(1, i));
+    }
+  };
+  sim_.spawn(keep(*a.gc, kept));
+  sim_.spawn(send(*b.proc, *b.gc, big));
+  sim_.run_for(milliseconds(300));
+  a.gc.reset();  // the client, its framer and its buffered events go
+  ASSERT_EQ(kept.size(), 21u);
+  EXPECT_EQ(kept[0].payload, big);
+  ASSERT_TRUE(kept[0].frame.has_value());
+  EXPECT_TRUE(kept[0].payload.data() >= kept[0].frame->wire().data() &&
+              kept[0].payload.data() + kept[0].payload.size() <=
+                  kept[0].frame->wire().data() + kept[0].frame->wire().size());
+  for (std::uint8_t i = 0; i < 20; ++i) EXPECT_EQ(kept[1 + i].payload, (Bytes{i}));
+  // Moving an event keeps its payload on the moved frame.
+  const std::uint8_t* at = kept[0].payload.data();
+  Event moved = std::move(kept[0]);
+  kept.clear();
+  EXPECT_EQ(moved.payload.data(), at);
+  EXPECT_EQ(moved.payload, big);
+  EXPECT_EQ(moved.sender, "sender");
+}
+
 }  // namespace
 }  // namespace mead::gc

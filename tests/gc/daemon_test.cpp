@@ -277,7 +277,7 @@ TEST_F(GcDaemonTest, NonMemberCanSendToGroup) {
       auto ev = co_await gc.next_event(milliseconds(100));
       if (!ev || !ev.value()) co_return;
       if (ev.value()->kind == Event::Kind::kMessage) {
-        out.push_back(ev.value()->payload);
+        out.push_back(Bytes(ev.value()->payload));
         co_return;
       }
     }

@@ -70,8 +70,9 @@ TEST_F(OrderingWorld, AllMembersDeliverSameTotalOrder) {
   std::vector<ClientHandle> clients;
   std::vector<std::vector<Delivery>> logs(kMembers);
   for (int i = 0; i < kMembers; ++i) {
-    clients.push_back(make_client(hosts_[static_cast<std::size_t>(i)],
-                                  "m" + std::to_string(i)));
+    std::string name = "m";  // appended: GCC 12 warns on "m" + string
+    name += std::to_string(i);
+    clients.push_back(make_client(hosts_[static_cast<std::size_t>(i)], name));
   }
   for (int i = 0; i < kMembers; ++i) {
     sim_.spawn(chatty_member(*clients[static_cast<std::size_t>(i)].proc,

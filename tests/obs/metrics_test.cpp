@@ -40,7 +40,9 @@ TEST(MetricsRegistryTest, ReferencesStayValidAsRegistryGrows) {
   MetricsRegistry reg;
   Counter* first = &reg.counter("first");
   for (int i = 0; i < 1000; ++i) {
-    reg.counter("c" + std::to_string(i)).add();
+    std::string name = "c";  // appended: GCC 12 warns on "c" + string
+    name += std::to_string(i);
+    reg.counter(name).add();
   }
   first->add(7);
   EXPECT_EQ(reg.counter("first").value(), 7u);
