@@ -19,6 +19,23 @@ constexpr std::size_t kBatchMaxBytes = 8 * 1024;
 constexpr Duration kBatchFlush = microseconds(200);
 // Rejoin-probe backoff cap, as a multiple of the base (one heartbeat).
 constexpr std::int64_t kRejoinProbeMaxFactor = 8;
+// The group index's first size; it doubles whenever it would pass half full.
+constexpr std::size_t kMinIndexSize = 16;
+constexpr std::uint64_t kSlotIdMask = 0xffffffffu;
+
+// A group index entry: the name hash's high half over slot id + 1.
+std::uint64_t index_entry(std::size_t hash, std::uint64_t id) {
+  return (hash & ~kSlotIdMask) | (id + 1);
+}
+
+// Inserts `x` into the ascending vector `v` unless present; returns whether
+// it was inserted.
+bool insert_sorted(std::vector<std::uint64_t>& v, std::uint64_t x) {
+  auto it = std::lower_bound(v.begin(), v.end(), x);
+  if (it != v.end() && *it == x) return false;
+  v.insert(it, x);
+  return true;
+}
 }
 
 GcDaemon::GcDaemon(net::ProcessPtr proc, DaemonConfig cfg)
@@ -35,9 +52,10 @@ GcDaemon::GcDaemon(net::ProcessPtr proc, DaemonConfig cfg)
   // Every configured daemon is presumed alive until its connection drops;
   // this keeps the sequencer identity stable during startup.
   for (std::size_t i = 0; i < cfg_.daemon_hosts.size(); ++i) {
-    alive_daemons_.insert(i);
+    alive_daemons_.push_back(i);
   }
   peer_last_seen_.assign(cfg_.daemon_hosts.size(), TimePoint{0});
+  index_.assign(kMinIndexSize, 0);
 }
 
 bool GcDaemon::mesh_ready() const {
@@ -59,28 +77,59 @@ bool GcDaemon::mesh_ready() const {
   return reachable + 1 >= n;
 }
 
+std::size_t GcDaemon::index_pos(std::string_view name,
+                                std::size_t hash) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint64_t e = index_[i];
+    if (e == 0) return i;
+    if (((e ^ hash) & ~kSlotIdMask) == 0 &&
+        slots_[(e & kSlotIdMask) - 1].name == name) {
+      return i;
+    }
+  }
+}
+
+const GcDaemon::GroupSlot* GcDaemon::find_slot(std::string_view name) const {
+  const std::uint64_t e =
+      index_[index_pos(name, std::hash<std::string_view>{}(name))];
+  return e == 0 ? nullptr : &slots_[(e & kSlotIdMask) - 1];
+}
+
 GcDaemon::GroupSlot& GcDaemon::slot(std::string_view name) {
-  auto it = slots_.find(name);
-  if (it != slots_.end()) return it->second;
-  GroupSlot s;
+  const std::size_t hash = std::hash<std::string_view>{}(name);
+  const std::size_t pos = index_pos(name, hash);
+  if (index_[pos] != 0) return slots_[(index_[pos] & kSlotIdMask) - 1];
+  GroupSlot& s = slots_.emplace_back();
+  s.name = name;
   // FNV-1a over the group key: stamper_for reduces it over the alive set.
   s.stamper_hash = 1469598103934665603ull;
   for (unsigned char c : name) {
     s.stamper_hash ^= c;
     s.stamper_hash *= 1099511628211ull;
   }
-  return slots_.emplace(std::string(name), std::move(s)).first->second;
+  if (slots_.size() * 2 <= index_.size()) {
+    index_[pos] = index_entry(hash, slots_.size() - 1);
+    return s;
+  }
+  // Past half full: double the index and enter every slot again.
+  index_.assign(index_.size() * 2, 0);
+  for (std::uint64_t id = 0; id < slots_.size(); ++id) {
+    const std::size_t h = std::hash<std::string_view>{}(slots_[id].name);
+    index_[index_pos(slots_[id].name, h)] = index_entry(h, id);
+  }
+  return s;
 }
 
 template <typename Keep>
-std::vector<const GcDaemon::SlotMap::value_type*> GcDaemon::groups_by_name(
+std::vector<const GcDaemon::GroupSlot*> GcDaemon::groups_by_name(
     Keep keep) const {
-  std::vector<const SlotMap::value_type*> out;
-  for (const auto& entry : slots_) {
-    if (entry.second.present && keep(entry.second)) out.push_back(&entry);
+  std::vector<const GroupSlot*> out;
+  for (const GroupSlot& s : slots_) {
+    if (s.present && keep(s)) out.push_back(&s);
   }
   std::sort(out.begin(), out.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [](const auto* a, const auto* b) { return a->name < b->name; });
   return out;
 }
 
@@ -124,7 +173,7 @@ bool GcDaemon::is_sequencer() const {
 }
 
 std::uint64_t GcDaemon::sequencer_id() const {
-  return *alive_daemons_.begin();  // lowest live daemon id
+  return alive_daemons_.front();  // lowest live daemon id
 }
 
 std::uint64_t GcDaemon::stamper_for(const GroupSlot& s) const {
@@ -135,20 +184,17 @@ std::uint64_t GcDaemon::stamper_for(const GroupSlot& s) const {
   // of (group, alive set), so every daemon agrees on each group's stamper
   // without coordination, and ownership reshuffles deterministically when
   // the alive set changes.
-  auto it = alive_daemons_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(s.stamper_hash %
-                                               alive_daemons_.size()));
-  return *it;
+  return alive_daemons_[s.stamper_hash % alive_daemons_.size()];
 }
 
 std::vector<std::string> GcDaemon::group_members(const std::string& group) const {
-  auto it = slots_.find(group);
-  return it == slots_.end() ? std::vector<std::string>{} : it->second.members;
+  const GroupSlot* s = find_slot(group);
+  return s == nullptr ? std::vector<std::string>{} : s->members;
 }
 
 std::uint64_t GcDaemon::view_id(const std::string& group) const {
-  auto it = slots_.find(group);
-  return it == slots_.end() ? 0 : it->second.view_id;
+  const GroupSlot* s = find_slot(group);
+  return s == nullptr ? 0 : s->view_id;
 }
 
 void GcDaemon::start() {
@@ -673,8 +719,15 @@ bool GcDaemon::handle_ordered(const OrderedView& m, GroupSlot& s) {
   if (join) {
     s.members.emplace_back(m.member);
     s.homes.push_back(m.origin);
+    if (m.origin == cfg_.self_index && s.local_members++ == 0) {
+      local_slots_.push_back(&s);
+    }
   } else {
-    s.homes.erase(s.homes.begin() + (it - s.members.begin()));
+    const auto home = s.homes.begin() + (it - s.members.begin());
+    if (*home == cfg_.self_index && --s.local_members == 0) {
+      std::erase(local_slots_, &s);
+    }
+    s.homes.erase(home);
     s.members.erase(it);
   }
   s.view_id = m.seq;
@@ -694,15 +747,17 @@ void GcDaemon::handle_client_gone(int fd) {
     }
   }
   if (name.empty()) return;
-  // The member's groups: every group that lists it with our daemon as home.
-  auto homed_here = [&](const GroupSlot& s) {
-    for (std::size_t i = 0; i < s.members.size(); ++i) {
-      if (s.members[i] == name) return s.homes[i] == cfg_.self_index;
-    }
-    return false;
-  };
+  // The member's groups: every group that lists it with our daemon as home,
+  // so only the slots with a member homed here. Leaves go in name order.
   std::vector<std::string> groups;
-  for (const auto* g : groups_by_name(homed_here)) groups.push_back(g->first);
+  for (const GroupSlot* s : local_slots_) {
+    for (std::size_t i = 0; i < s->members.size(); ++i) {
+      if (s->members[i] != name) continue;
+      if (s->homes[i] == cfg_.self_index) groups.push_back(s->name);
+      break;
+    }
+  }
+  std::sort(groups.begin(), groups.end());
   proc_->sim().spawn(delayed_member_death(std::move(name), std::move(groups)));
 }
 
@@ -728,7 +783,7 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
   if (dead_daemons_.contains(peer_id)) return;  // EOF after a heartbeat
                                                 // timeout already handled it
   const bool sequencer_died = (sequencer_id() == peer_id);
-  alive_daemons_.erase(peer_id);
+  std::erase(alive_daemons_, peer_id);
   dead_daemons_.insert(peer_id);
   pending_merge_.erase(peer_id);
   peer_fds_.erase(peer_id);
@@ -767,15 +822,14 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
   auto stamped_here = [this](const GroupSlot& s) {
     return stamper_for(s) == cfg_.self_index;
   };
-  for (const auto* entry : groups_by_name(stamped_here)) {
-    const auto& [gname, g] = *entry;
+  for (const GroupSlot* g : groups_by_name(stamped_here)) {
     std::vector<std::string> orphans;
-    for (std::size_t i = 0; i < g.members.size(); ++i) {
-      if (dead_daemons_.contains(g.homes[i])) orphans.push_back(g.members[i]);
+    for (std::size_t i = 0; i < g->members.size(); ++i) {
+      if (dead_daemons_.contains(g->homes[i])) orphans.push_back(g->members[i]);
     }
     std::sort(orphans.begin(), orphans.end());
     for (const auto& member : orphans) {
-      submit(PayloadKind::kLeave, gname, member);
+      submit(PayloadKind::kLeave, g->name, member);
     }
   }
 
@@ -877,7 +931,7 @@ void GcDaemon::resurrect_peer(std::uint64_t peer_id, int fd) {
   // merged — only the link was absent — so it stays counted.)
   if (dead_daemons_.contains(peer_id)) pending_merge_.insert(peer_id);
   dead_daemons_.erase(peer_id);
-  alive_daemons_.insert(peer_id);
+  insert_sorted(alive_daemons_, peer_id);
   peer_fds_[peer_id] = fd;
   peer_last_seen_[peer_id] = proc_->sim().now();
   on_peer_link_up();
@@ -892,7 +946,7 @@ std::uint64_t GcDaemon::island_count() const {
 }
 
 std::uint64_t GcDaemon::island_sequencer() const {
-  for (std::uint64_t id : alive_daemons_) {  // ordered set: lowest first
+  for (std::uint64_t id : alive_daemons_) {  // ascending: lowest first
     if (!pending_merge_.contains(id)) return id;
   }
   return cfg_.self_index;
@@ -960,8 +1014,7 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
     // Gossip the merged alive set to the rest of our island: peers further
     // down a healed chain never exchanged a Rejoin with the new arrival,
     // yet must learn the mesh now extends past their own links.
-    direct_broadcast(encode_alive_set(AliveSetMsg{
-                         {alive_daemons_.begin(), alive_daemons_.end()}}),
+    direct_broadcast(encode_alive_set(AliveSetMsg{alive_daemons_}),
                      /*skip_fd=*/fd);
   } else {
     // Our island's unordered traffic belongs to an abandoned domain.
@@ -974,15 +1027,15 @@ void GcDaemon::handle_rejoin(int fd, const RejoinMsg& m) {
 StateSyncMsg GcDaemon::snapshot_state() const {
   StateSyncMsg m;
   m.next_seq = next_seq_;
-  for (const auto* entry :
+  for (const GroupSlot* g :
        groups_by_name([](const GroupSlot&) { return true; })) {
     GroupSnapshot& snap = m.groups.emplace_back();
-    snap.group = entry->first;
-    snap.view_id = entry->second.view_id;
-    snap.members = entry->second.members;
-    snap.homes = entry->second.homes;
+    snap.group = g->name;
+    snap.view_id = g->view_id;
+    snap.members = g->members;
+    snap.homes = g->homes;
   }
-  m.alive.assign(alive_daemons_.begin(), alive_daemons_.end());
+  m.alive = alive_daemons_;
   return m;
 }
 
@@ -995,7 +1048,7 @@ void GcDaemon::adopt_alive_set(const std::vector<std::uint64_t>& alive,
     // share with it, so they stop being pending arrivals.
     pending_merge_.erase(a);
     dead_daemons_.erase(a);
-    if (alive_daemons_.insert(a).second) changed = true;
+    if (insert_sorted(alive_daemons_, a)) changed = true;
     if (!peer_fds_.contains(a) && missing_links_.insert(a).second) {
       changed = true;
     }
@@ -1003,9 +1056,7 @@ void GcDaemon::adopt_alive_set(const std::vector<std::uint64_t>& alive,
   if (!changed) return;
   // Re-gossip on growth only, so chains of any length converge and the
   // traffic terminates (the union is monotone and bounded).
-  direct_broadcast(encode_alive_set(AliveSetMsg{
-                       {alive_daemons_.begin(), alive_daemons_.end()}}),
-                   source_fd);
+  direct_broadcast(encode_alive_set(AliveSetMsg{alive_daemons_}), source_fd);
   if (missing_links_.empty()) return;
   // Bridged regime: ask every linked peer to relay ordered traffic to us
   // and keep probing for the real link (requests are idempotent).
@@ -1029,7 +1080,7 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
     direct_broadcast(
         encode_seq_watermark(SeqWatermarkMsg{cfg_.self_index, next_seq_}));
   }
-  for (auto& [name, g] : slots_) {  // the hash and dedupe marks stay
+  for (GroupSlot& g : slots_) {  // the hash and dedupe marks stay
     g.present = false;
     g.members.clear();
     g.homes.clear();
@@ -1042,6 +1093,13 @@ void GcDaemon::handle_state_sync(int fd, const StateSyncMsg& m) {
     g.homes = snap.homes;
     g.homes.resize(g.members.size());  // a short list homes the rest at 0
     g.view_id = snap.view_id;
+  }
+  // The adopted homes decide which slots a client death walks.
+  local_slots_.clear();
+  for (GroupSlot& g : slots_) {
+    g.local_members = static_cast<std::uint32_t>(
+        std::count(g.homes.begin(), g.homes.end(), cfg_.self_index));
+    if (g.local_members > 0) local_slots_.push_back(&g);
   }
   ++rejoins_;
   proc_->sim().obs().metrics().counter("gc.rejoins").add();

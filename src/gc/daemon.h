@@ -35,7 +35,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -139,13 +138,16 @@ class GcDaemon {
   /// (origin, last applied msg id): a few origins each, scanned linearly.
   using DoneMarks = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
   /// Host-local interned group: its membership and all the per-frame path
-  /// needs, found with one hash lookup per frame. Slots are never erased.
+  /// needs, found through index_ once per frame. Slots are never erased.
   struct GroupSlot {
+    std::string name;
     /// Applied here (an ordered message or a state sync entered it); the
     /// state-sync snapshot lists exactly the present groups.
     bool present = false;
     std::vector<std::string> members;  // join order
     std::vector<std::uint64_t> homes;  // daemon id of members[i]
+    /// How many of homes are us; the slot is on local_slots_ while non-zero.
+    std::uint32_t local_members = 0;
     std::uint64_t view_id = 0;
     std::uint64_t stamper_hash = 0;  // FNV-1a of the name (stamper_for)
     /// Dedupe marks, per (group, origin) on both planes. With sharded
@@ -155,16 +157,6 @@ class GcDaemon {
     /// messages whenever their broadcasts raced.
     DoneMarks done;
   };
-  struct NameHash {
-    using is_transparent = void;
-    // Not noexcept, so libstdc++ caches each node's hash: probes and
-    // rehashes compare cached hashes instead of re-hashing stored names.
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using SlotMap =
-      std::unordered_map<std::string, GroupSlot, NameHash, std::equal_to<>>;
 
   /// True once links to every other configured daemon are up (or the peer
   /// is known dead). Client submissions are buffered until then, so no
@@ -177,11 +169,16 @@ class GcDaemon {
   }
   /// The interned slot of `name`, created on first sight.
   GroupSlot& slot(std::string_view name);
+  /// The slot of `name`, or null if it was never seen here.
+  [[nodiscard]] const GroupSlot* find_slot(std::string_view name) const;
+  /// The index_ position holding `name`'s slot id, or the empty position
+  /// where it would go; `hash` is the name's std::hash.
+  [[nodiscard]] std::size_t index_pos(std::string_view name,
+                                      std::size_t hash) const;
   /// The present groups `keep` accepts, in name order: the order of the
-  /// leaves on peer or client death and of the state-sync snapshot.
+  /// leaves on peer death and of the state-sync snapshot.
   template <typename Keep>
-  [[nodiscard]] std::vector<const SlotMap::value_type*> groups_by_name(
-      Keep keep) const;
+  [[nodiscard]] std::vector<const GroupSlot*> groups_by_name(Keep keep) const;
 
   sim::Task<void> accept_loop(int listen_fd);
   sim::Task<void> connection_loop(int fd);
@@ -306,7 +303,8 @@ class GcDaemon {
   /// stamped when its link came up.
   std::vector<TimePoint> peer_last_seen_;
   std::map<std::string, int> client_fds_;
-  std::set<std::uint64_t> alive_daemons_;  // presumed alive until EOF
+  /// Ascending, so stamper_for indexes it; presumed alive until EOF.
+  std::vector<std::uint64_t> alive_daemons_;
   std::set<std::uint64_t> dead_daemons_;
   /// Resurrected on a healed link, but the rejoin arbitration with their
   /// island has not settled yet: excluded from island_count() /
@@ -346,7 +344,15 @@ class GcDaemon {
   std::deque<Frame> stamp_wait_;  // kSubmit frames parked until the mesh forms
   std::uint64_t delivered_count_ = 0;
 
-  SlotMap slots_;
+  /// Every group seen here, by slot id (a deque: slots never move).
+  std::deque<GroupSlot> slots_;
+  /// Open-addressed index over slots_, probed linearly: each entry is the
+  /// name hash's high half over slot id + 1 in the low half, 0 when empty.
+  /// A power of two in size, kept at most half full.
+  std::vector<std::uint64_t> index_;
+  /// The slots with a member homed here, in no order: all a client death
+  /// walks.
+  std::vector<const GroupSlot*> local_slots_;
 };
 
 }  // namespace mead::gc
