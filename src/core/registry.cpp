@@ -39,8 +39,11 @@ bool ReplicaRegistry::is_first(const std::string& member) const {
   // "First" means first *replica* in view order. Non-replica group members
   // (the Recovery Manager subscribes to the same group, §3.3) never
   // announce, so the first announced member is the distinguished one.
-  auto f = first();
-  return f.has_value() && f->member == member;
+  // Compared in place: first() would copy the whole record.
+  for (const auto& m : view_.members) {
+    if (announced_.contains(m)) return m == member;
+  }
+  return false;
 }
 
 std::optional<ReplicaRegistry::Record> ReplicaRegistry::first() const {
