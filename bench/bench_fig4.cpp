@@ -23,10 +23,14 @@ void print_panel(const char* title, const ExperimentResult& r) {
               static_cast<unsigned long long>(r.client.transients));
   std::printf("masked failures: %llu   query timeouts: %llu   "
               "LOCATION_FORWARDs: %llu   MEAD redirects: %llu\n",
-              static_cast<unsigned long long>(r.masked_failures),
-              static_cast<unsigned long long>(r.query_timeouts),
-              static_cast<unsigned long long>(r.forwards),
-              static_cast<unsigned long long>(r.mead_redirects));
+              static_cast<unsigned long long>(
+                  r.counter("client.masked_failures")),
+              static_cast<unsigned long long>(
+                  r.counter("client.query_timeouts")),
+              static_cast<unsigned long long>(
+                  r.counter("orb.forwards_followed")),
+              static_cast<unsigned long long>(
+                  r.counter("client.mead_redirects")));
   std::printf("steady-state RTT: %.3f ms   failover: n=%zu mean=%.3f ms "
               "max=%.3f ms\n",
               r.client.steady_state_rtt_ms(), r.client.failover_ms.count(),

@@ -177,22 +177,24 @@ int main() {
       app::Experiment exp(spec);
       const ExperimentResult r = exp.run();
       const double window_ms = mean_hole_ms(exp);
+      const std::uint64_t rotations = r.counter("rm.migrations");
       const double drain_ms =
-          r.rm_migrations > 0
-              ? static_cast<double>(r.handoff_ms) /
-                    static_cast<double>(r.rm_migrations)
-              : 0;
-      const app::GroupResult& g = r.group_results[0];
+          rotations > 0 ? static_cast<double>(r.counter("mead.handoff_ms")) /
+                              static_cast<double>(rotations)
+                        : 0;
+      const std::string& svc = r.group_results[0].service;
+      const std::uint64_t reactive = r.counter("rm.reactive_launches." + svc);
       perf.add(spec, r, label,
                {{"state_keys", static_cast<double>(keys)},
                 {"window_ms", window_ms},
                 {"drain_ms", drain_ms},
-                {"rotations", static_cast<double>(r.rm_migrations)}});
+                {"rotations", static_cast<double>(rotations)}});
       std::printf("%-28s %7.2fms %7.2fms %9llu %9llu %9llu\n", label.c_str(),
                   window_ms, drain_ms,
-                  static_cast<unsigned long long>(r.rm_migrations),
-                  static_cast<unsigned long long>(g.reactive_launches),
-                  static_cast<unsigned long long>(g.proactive_launches));
+                  static_cast<unsigned long long>(rotations),
+                  static_cast<unsigned long long>(reactive),
+                  static_cast<unsigned long long>(
+                      r.counter("rm.proactive_launches." + svc)));
       if (!r.state_ok) {
         std::fprintf(stderr, "%s: state digest invariant violated\n",
                      label.c_str());
@@ -211,13 +213,13 @@ int main() {
         rc = 1;
       }
       if (is_migration &&
-          (r.rm_migrations == 0 || g.reactive_launches != 0)) {
+          (rotations == 0 || reactive != 0)) {
         std::fprintf(stderr,
                      "%s: planner did not preempt the leak "
                      "(rotations=%llu, reactive launches=%llu)\n",
                      label.c_str(),
-                     static_cast<unsigned long long>(r.rm_migrations),
-                     static_cast<unsigned long long>(g.reactive_launches));
+                     static_cast<unsigned long long>(rotations),
+                     static_cast<unsigned long long>(reactive));
         rc = 1;
       }
     }

@@ -85,8 +85,6 @@ int main() {
         std::fprintf(stderr, "%zu/%d: start failed\n", groups, burst);
         return 1;
       }
-      const std::uint64_t frames0 =
-          exp.obs().metrics().counter_value("rm.placement.frames");
       const auto wall0 = std::chrono::steady_clock::now();
       exp.launch_client();
       exp.run_to_completion();
@@ -96,10 +94,11 @@ int main() {
                       std::chrono::steady_clock::now() - wall0)
                       .count();
 
-      const std::uint64_t frames =
-          exp.obs().metrics().counter_value("rm.placement.frames") - frames0;
+      const std::uint64_t frames = r.counter("rm.placement.frames");
       std::uint64_t reactive = 0;
-      for (const auto& g : r.group_results) reactive += g.reactive_launches;
+      for (const auto& g : r.group_results) {
+        reactive += r.counter("rm.reactive_launches." + g.service);
+      }
 
       const std::string label = "algorithmic " + std::to_string(groups) +
                                 " groups burst" + std::to_string(burst);

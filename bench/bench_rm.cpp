@@ -106,22 +106,23 @@ int main() {
     app::Experiment exp(specs[i]);
     const ExperimentResult r = exp.run();
     const double rec_ms = recovery_after(exp, worker_crash);
+    const std::uint64_t rm_failovers = r.counter("rm.failovers");
     // recovery_ms is simulated time — deterministic per seed — so the CI
     // regression check can hold it to a tight latency budget.
     perf.add(specs[i], r, labels[i],
              {{"recovery_ms", rec_ms},
-              {"rm_failovers", static_cast<double>(r.rm_failovers)}});
+              {"rm_failovers", static_cast<double>(rm_failovers)}});
     if (i == 0) solo_gc = r.gc_bytes;
     std::printf("%-14s %-4zu %8.1fms %12llu %10llu %12llu %10.1f\n",
                 labels[i].c_str(), specs[i].rm.replicas, rec_ms,
-                static_cast<unsigned long long>(r.rm_failovers),
+                static_cast<unsigned long long>(rm_failovers),
                 static_cast<unsigned long long>(r.sim_events),
                 static_cast<unsigned long long>(r.gc_bytes), r.wall_ms);
     if (rec_ms < 0) {
       std::fprintf(stderr, "%s: recovery never completed\n", labels[i].c_str());
       rc = 1;
     }
-    if (labels[i] == "leader-crash" && r.rm_failovers == 0) {
+    if (labels[i] == "leader-crash" && rm_failovers == 0) {
       std::fprintf(stderr, "leader-crash: no RM failover recorded\n");
       rc = 1;
     }

@@ -139,8 +139,9 @@ int main() {
                 labels[i].c_str(),
                 static_cast<unsigned long long>(r.state_restores),
                 r.state_restore_ms, recovery_ms,
-                static_cast<unsigned long long>(r.replayed_msgs),
-                static_cast<double>(r.ckpt_bytes) / 1024.0);
+                static_cast<unsigned long long>(
+                    r.counter("state.replay.msgs")),
+                static_cast<double>(r.counter("state.ckpt.bytes")) / 1024.0);
     if (r.state_restores == 0) {
       std::fprintf(stderr, "%s: no restore happened\n", labels[i].c_str());
       rc = 1;

@@ -97,7 +97,7 @@ class PerfReport {
     run.invocations = r.total_invocations();  // summed over every client
     run.steady_rtt_ms = r.client.steady_state_rtt_ms();
     run.gc_bps = r.gc_bandwidth_bps();
-    run.gc_frames = r.gc_frames;
+    run.gc_frames = r.counter("gc.frames");
     run.groups = std::max<std::size_t>(1, spec.groups.size());
     run.duration_s = r.duration_s;
     run.extras = std::move(extras);

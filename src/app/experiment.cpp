@@ -34,10 +34,6 @@ Experiment::Experiment(ExperimentSpec spec)
 
 Experiment::~Experiment() = default;
 
-std::uint64_t Experiment::delta(const std::string& name) const {
-  return bed_.sim().obs().metrics().counter_value(name);
-}
-
 StartResult Experiment::start() {
   auto up = bed_.start();
   if (!up) return up;
@@ -63,32 +59,12 @@ StartResult Experiment::start() {
       }
     }
   }
-  deaths0_ = bed_.replica_deaths();
-  gc_bytes0_ = bed_.gc_bytes();
-  gc_frames0_ = delta("gc.frames");
-  t0_ = bed_.sim().now();
-  redirects0_ = delta("client.mead_redirects");
-  masked0_ = delta("client.masked_failures");
-  timeouts0_ = delta("client.query_timeouts");
-  forwards0_ = delta("orb.forwards_followed");
-  proactive0_ = delta("rm.proactive_launches");
-  chaos0_ = delta("chaos.faults");
-  rm_failovers0_ = delta("rm.failovers");
-  ckpt_deltas0_ = delta("state.ckpt.deltas");
-  ckpt_bytes0_ = delta("state.ckpt.bytes");
-  replay0_ = delta("state.replay.msgs");
-  migrations0_ = delta("rm.migrations");
-  handoff_ms0_ = delta("mead.handoff_ms");
-  dedup_hits0_ = delta("state.dedup.hits");
+  counters0_ = bed_.sim().obs().metrics().counter_snapshot();
   for (const auto& g : bed_.groups()) {
-    GroupBaseline base;
-    base.deaths0 = g->replica_deaths();
-    base.launches0 = delta("rm.launches." + g->service());
-    base.proactive0 = delta("rm.proactive_launches." + g->service());
-    base.reactive0 = delta("rm.reactive_launches." + g->service());
-    base.migrations0 = delta("rm.migrations." + g->service());
-    group_base_.push_back(base);
+    group_deaths0_.push_back(g->replica_deaths());
   }
+  gc_bytes0_ = bed_.gc_bytes();
+  t0_ = bed_.sim().now();
   return up;
 }
 
@@ -156,24 +132,10 @@ void Experiment::run_to_completion() {
 ExperimentResult Experiment::collect() const {
   ExperimentResult out;
   if (!clients_.empty()) out.client = clients_.front()->results();
-  out.server_failures = bed_.replica_deaths() - deaths0_;
   out.gc_bytes = bed_.gc_bytes() - gc_bytes0_;
-  out.gc_frames = delta("gc.frames") - gc_frames0_;
   out.duration_s = (bed_.sim().now() - t0_).sec();
-  out.mead_redirects = delta("client.mead_redirects") - redirects0_;
-  out.masked_failures = delta("client.masked_failures") - masked0_;
-  out.query_timeouts = delta("client.query_timeouts") - timeouts0_;
-  out.forwards = delta("orb.forwards_followed") - forwards0_;
-  out.proactive_launches = delta("rm.proactive_launches") - proactive0_;
   out.sim_events = bed_.sim().events_processed();
-  out.chaos_faults = delta("chaos.faults") - chaos0_;
-  out.rm_failovers = delta("rm.failovers") - rm_failovers0_;
-  out.ckpt_deltas = delta("state.ckpt.deltas") - ckpt_deltas0_;
-  out.ckpt_bytes = delta("state.ckpt.bytes") - ckpt_bytes0_;
-  out.replayed_msgs = delta("state.replay.msgs") - replay0_;
-  out.rm_migrations = delta("rm.migrations") - migrations0_;
-  out.handoff_ms = delta("mead.handoff_ms") - handoff_ms0_;
-  out.dedup_hits = delta("state.dedup.hits") - dedup_hits0_;
+  out.counters = bed_.sim().obs().metrics().counter_deltas(counters0_);
   // Per-client rollups, in launch order.
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     const ClientResults cr = clients_[i]->results();
@@ -194,19 +156,14 @@ ExperimentResult Experiment::collect() const {
   }
   const auto& groups = bed_.groups();
   std::uint64_t state_restore_samples = 0;
-  for (std::size_t i = 0; i < groups.size() && i < group_base_.size(); ++i) {
+  for (std::size_t i = 0; i < groups.size() && i < group_deaths0_.size();
+       ++i) {
     const ServiceGroup& g = *groups[i];
-    const GroupBaseline& base = group_base_[i];
     GroupResult gr;
     gr.service = g.service();
     gr.replica_count = g.spec().replica_count;
-    gr.server_failures = g.replica_deaths() - base.deaths0;
-    gr.launches = delta("rm.launches." + g.service()) - base.launches0;
-    gr.proactive_launches =
-        delta("rm.proactive_launches." + g.service()) - base.proactive0;
-    gr.reactive_launches =
-        delta("rm.reactive_launches." + g.service()) - base.reactive0;
-    gr.rm_migrations = delta("rm.migrations." + g.service()) - base.migrations0;
+    gr.server_failures = g.replica_deaths() - group_deaths0_[i];
+    out.server_failures += gr.server_failures;
     double steady_sum = 0;
     for (std::size_t c = 0; c < out.client_results.size(); ++c) {
       if (client_group_[c] != i) continue;

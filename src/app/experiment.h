@@ -1,7 +1,8 @@
 // One-call experiment facade over Testbed + ExperimentClient: a single
 // ExperimentSpec in, a single ExperimentResult out, with every Table 1 /
 // Figure 3-5 counter read back from the simulation's metrics registry
-// rather than scraped from individual components.
+// (as deltas over the measurement window) rather than scraped from
+// individual components.
 //
 // A spec may host several independent service groups on an arbitrary
 // cluster topology; one measurement client runs per group, and the result
@@ -12,10 +13,12 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/experiment_client.h"
 #include "app/testbed.h"
+#include "obs/metrics.h"
 
 namespace mead::app {
 
@@ -84,14 +87,13 @@ struct ExperimentSpec {
   std::vector<std::string> late_workers;
 };
 
-/// Measurement-window counters for one service group.
+/// Measurement-window results for one service group. Its registry
+/// counters ("rm.launches.<svc>", "rm.migrations.<svc>", ...) are read
+/// through ExperimentResult::counter().
 struct GroupResult {
   std::string service;
   std::size_t replica_count = 0;       // target degree
   std::size_t server_failures = 0;     // incarnation deaths in the window
-  std::uint64_t launches = 0;          // registry delta "rm.launches.<svc>"
-  std::uint64_t proactive_launches = 0;
-  std::uint64_t reactive_launches = 0;
   std::uint64_t invocations_completed = 0;  // summed over the group's clients
   std::uint64_t client_exceptions = 0;
   std::uint64_t naming_refreshes = 0;
@@ -112,9 +114,6 @@ struct GroupResult {
   /// Completed checkpoint restores (base + deltas + log replay) summed
   /// over every incarnation the group ever launched.
   std::uint64_t state_restores = 0;
-  /// Prediction-driven rotations planned for this group
-  /// ("rm.migrations.<svc>"; MigrationSpec groups only).
-  std::uint64_t rm_migrations = 0;
   /// Duplicate requests suppressed server-side, summed over every
   /// incarnation (dedup-enabled groups only).
   std::uint64_t dedup_hits = 0;
@@ -143,31 +142,15 @@ struct ExperimentResult {
   ClientResults client;
   std::size_t server_failures = 0;
   std::uint64_t gc_bytes = 0;          // GC traffic during the measurement
-  std::uint64_t gc_frames = 0;         // daemon wire writes ("gc.frames")
   double duration_s = 0;               // virtual seconds of measurement
-  std::uint64_t mead_redirects = 0;
-  std::uint64_t masked_failures = 0;
-  std::uint64_t query_timeouts = 0;
-  std::uint64_t forwards = 0;
-  std::uint64_t proactive_launches = 0;
   std::uint64_t sim_events = 0;        // kernel events processed by the run
-  std::uint64_t chaos_faults = 0;      // scheduled faults executed
-  std::uint64_t rm_failovers = 0;      // backup RM promotions ("rm.failovers")
-  // Stateful-service pipeline (all zero / true when no group enables
-  // StateOptions — the counters are never even created then).
-  std::uint64_t ckpt_deltas = 0;       // checkpoints taken ("state.ckpt.deltas")
-  std::uint64_t ckpt_bytes = 0;        // checkpoint wire bytes ("state.ckpt.bytes")
-  std::uint64_t replayed_msgs = 0;     // log entries replayed ("state.replay.msgs")
+  // Stateful-service pipeline (zero / true when no group enables
+  // StateOptions).
   std::uint64_t state_restores = 0;    // completed restores, summed over groups
   /// Mean completed-restore duration (virtual ms) over replicas that
   /// restored; 0 when none did.
   double state_restore_ms = 0;
   bool state_ok = true;                // AND over group_results[].state_ok
-  // Prediction-driven migration + quorum plane (all zero when no group
-  // enables MigrationSpec / kQuorum / dedup — gated counters).
-  std::uint64_t rm_migrations = 0;     // rotations planned ("rm.migrations")
-  std::uint64_t handoff_ms = 0;        // summed drain windows ("mead.handoff_ms")
-  std::uint64_t dedup_hits = 0;        // duplicate suppressions ("state.dedup.hits")
   std::uint64_t quorum_reads = 0;      // summed over client rollups
   std::uint64_t quorum_repairs = 0;
   double wall_ms = 0;                  // real (host) time spent in run()
@@ -175,6 +158,17 @@ struct ExperimentResult {
   std::vector<GroupResult> group_results;
   /// One entry per measurement client, in launch order.
   std::vector<ClientRollup> client_results;
+  /// Every registry counter that grew during the measurement window (from
+  /// the end of Experiment::start() to collect()), with its growth.
+  obs::CounterSnapshot counters;
+
+  /// The window's growth of registry counter `name` ("gc.frames",
+  /// "rm.failovers", "rm.reactive_launches.<svc>", ...); 0 when it did not
+  /// grow or was never created.
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
 
   [[nodiscard]] double gc_bandwidth_bps() const {
     return duration_s > 0 ? static_cast<double>(gc_bytes) / duration_s : 0;
@@ -189,21 +183,15 @@ struct ExperimentResult {
   /// Invocations completed across every measurement client (group clients
   /// and striped clients alike).
   [[nodiscard]] std::uint64_t total_invocations() const {
-    if (!client_results.empty()) {
-      std::uint64_t n = 0;
-      for (const auto& c : client_results) n += c.invocations_completed;
-      return n;
-    }
-    if (group_results.empty()) return client.invocations_completed;
     std::uint64_t n = 0;
-    for (const auto& g : group_results) n += g.invocations_completed;
+    for (const auto& c : client_results) n += c.invocations_completed;
     return n;
   }
 };
 
-/// Owns the testbed and measurement clients for one experiment. Counter
-/// baselines are snapshotted in start(), so collect() reports deltas over
-/// the measurement window even though the registry is simulation-global.
+/// Owns the testbed and measurement clients for one experiment. start()
+/// snapshots the registry's counters, so collect() reports deltas over the
+/// measurement window even though the registry is simulation-global.
 class Experiment {
  public:
   explicit Experiment(ExperimentSpec spec);
@@ -211,7 +199,7 @@ class Experiment {
   Experiment& operator=(const Experiment&) = delete;
   ~Experiment();
 
-  /// Bring the world up, validate stripes, snapshot counter baselines.
+  /// Bring the world up, validate stripes, snapshot the window's baselines.
   [[nodiscard]] StartResult start();
   /// Spawn the measurement clients (after start() succeeds):
   /// clients_per_group per group in group-major order, then the striped
@@ -220,7 +208,7 @@ class Experiment {
   /// Drive the simulation until every client finishes (bounded at 300 s
   /// virtual time so a wedged run still terminates).
   void run_to_completion();
-  /// Registry-delta snapshot of the run so far.
+  /// The measurement window so far.
   [[nodiscard]] ExperimentResult collect() const;
 
   /// start + launch_client + run_to_completion + collect. On start failure
@@ -245,8 +233,6 @@ class Experiment {
   [[nodiscard]] obs::Recorder& obs() { return bed_.sim().obs(); }
 
  private:
-  [[nodiscard]] std::uint64_t delta(const std::string& name) const;
-
   ExperimentSpec spec_;
   Testbed bed_;
   std::vector<std::unique_ptr<ExperimentClient>> clients_;
@@ -257,31 +243,10 @@ class Experiment {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   // Baselines captured by start().
-  struct GroupBaseline {
-    std::size_t deaths0 = 0;
-    std::uint64_t launches0 = 0;
-    std::uint64_t proactive0 = 0;
-    std::uint64_t reactive0 = 0;
-    std::uint64_t migrations0 = 0;
-  };
-  std::vector<GroupBaseline> group_base_;
-  std::size_t deaths0_ = 0;
+  obs::CounterSnapshot counters0_;
+  std::vector<std::size_t> group_deaths0_;  // per bed_.groups() entry
   std::uint64_t gc_bytes0_ = 0;
-  std::uint64_t gc_frames0_ = 0;
   TimePoint t0_;
-  std::uint64_t redirects0_ = 0;
-  std::uint64_t masked0_ = 0;
-  std::uint64_t timeouts0_ = 0;
-  std::uint64_t forwards0_ = 0;
-  std::uint64_t proactive0_ = 0;
-  std::uint64_t chaos0_ = 0;
-  std::uint64_t rm_failovers0_ = 0;
-  std::uint64_t ckpt_deltas0_ = 0;
-  std::uint64_t ckpt_bytes0_ = 0;
-  std::uint64_t replay0_ = 0;
-  std::uint64_t migrations0_ = 0;
-  std::uint64_t handoff_ms0_ = 0;
-  std::uint64_t dedup_hits0_ = 0;
 };
 
 /// One-shot convenience wrapper.

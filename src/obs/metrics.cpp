@@ -19,6 +19,28 @@ const Series* MetricsRegistry::find_series(std::string_view name) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
+CounterSnapshot MetricsRegistry::counter_snapshot() const {
+  CounterSnapshot out;
+  for (const auto& [name, c] : counters_) {
+    out.emplace_hint(out.end(), name, c.value());
+  }
+  return out;
+}
+
+CounterSnapshot MetricsRegistry::counter_deltas(
+    const CounterSnapshot& base) const {
+  // Counters are never removed, so every name in `base` is also in
+  // counters_, in the same order: one merged walk over the two maps.
+  CounterSnapshot out;
+  auto b = base.begin();
+  for (const auto& [name, c] : counters_) {
+    std::uint64_t v0 = 0;
+    if (b != base.end() && b->first == name) v0 = (b++)->second;
+    if (c.value() != v0) out.emplace_hint(out.end(), name, c.value() - v0);
+  }
+  return out;
+}
+
 std::string MetricsRegistry::to_csv() const {
   std::string out = "metric,value\n";
   for (const auto& [name, c] : counters_) {

@@ -43,6 +43,9 @@ class Gauge {
   double value_ = 0;
 };
 
+/// Counter values by name, sorted like the registry itself.
+using CounterSnapshot = std::map<std::string, std::uint64_t, std::less<>>;
+
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -66,6 +69,14 @@ class MetricsRegistry {
   [[nodiscard]] const Series* find_series(std::string_view name) const;
 
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
+
+  /// Read-only copy of every counter's current value.
+  [[nodiscard]] CounterSnapshot counter_snapshot() const;
+  /// Counters that grew since `base` (a snapshot of this registry), with
+  /// their growth; a counter created after `base` counts from 0. Read-only:
+  /// it never creates a counter.
+  [[nodiscard]] CounterSnapshot counter_deltas(
+      const CounterSnapshot& base) const;
 
   /// All counters and gauges as sorted `name,value` CSV lines (counters
   /// first), for the per-bench metrics artifact.

@@ -50,13 +50,15 @@ std::uint64_t placements(Experiment& exp) {
 
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream os;
-  os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes << '|'
-     << r.chaos_faults;
+  os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes;
   for (const auto& g : r.group_results) {
-    os << ';' << g.service << ':' << g.server_failures << ',' << g.launches
-       << ',' << g.proactive_launches << ',' << g.reactive_launches << ','
+    os << ';' << g.service << ':' << g.server_failures << ','
        << g.invocations_completed << ',' << g.client_exceptions << ','
        << g.naming_refreshes;
+  }
+  // Every registry delta, "chaos.faults" and "rm.*launches.<svc>" included.
+  for (const auto& [name, delta] : r.counters) {
+    os << ';' << name << '=' << delta;
   }
   return os.str();
 }
@@ -85,10 +87,11 @@ TEST(ChaosScheduleTest, CoLocatedGroupsEachRecoverOnce) {
   exp.sim().run_for(milliseconds(500));
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.chaos_faults, 1u);
+  EXPECT_EQ(r.counter("chaos.faults"), 1u);
   ASSERT_EQ(r.group_results.size(), 2u);
   for (const auto& g : r.group_results) {
-    EXPECT_EQ(g.reactive_launches, 1u) << g.service;
+    EXPECT_EQ(r.counter("rm.reactive_launches." + g.service), 1u)
+        << g.service;
     EXPECT_EQ(g.server_failures, 1u) << g.service;
     EXPECT_EQ(g.invocations_completed, 600u) << g.service;
   }
@@ -140,10 +143,11 @@ TEST(ChaosScheduleTest, AlgorithmicNeverPlacesOnDeadNode) {
   exp.sim().run_for(milliseconds(500));
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.chaos_faults, 2u);
+  EXPECT_EQ(r.counter("chaos.faults"), 2u);
   EXPECT_EQ(placements(exp) - placed0, 2u);
   for (const auto& g : r.group_results) {
-    EXPECT_EQ(g.reactive_launches, 1u) << g.service;
+    EXPECT_EQ(r.counter("rm.reactive_launches." + g.service), 1u)
+        << g.service;
     EXPECT_EQ(g.invocations_completed, 800u) << g.service;
   }
   const net::Network& net = exp.testbed().net();
@@ -179,7 +183,7 @@ TEST(ChaosScheduleTest, HealAfterPartitionClientRecovers) {
   exp.sim().run_for(milliseconds(500));
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.chaos_faults, 2u);  // the partition and the heal
+  EXPECT_EQ(r.counter("chaos.faults"), 2u);  // the partition and the heal
   EXPECT_EQ(r.client.invocations_completed, 1500u);
   EXPECT_GT(r.client.total_exceptions(), 0u);  // the outage was visible
   EXPECT_GE(exp.obs().metrics().counter_value("gc.rejoins"), 1u);
@@ -200,10 +204,11 @@ TEST(ChaosScheduleTest, CrashProcessFaultKillsServingPrimary) {
   exp.sim().run_for(milliseconds(500));
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.chaos_faults, 1u);
+  EXPECT_EQ(r.counter("chaos.faults"), 1u);
   EXPECT_EQ(exp.obs().metrics().counter_value("chaos.crash_process"), 1u);
   EXPECT_EQ(r.server_failures, 1u);
-  EXPECT_EQ(r.group_results[0].reactive_launches, 1u);
+  EXPECT_EQ(
+      r.counter("rm.reactive_launches." + r.group_results[0].service), 1u);
   EXPECT_EQ(r.client.invocations_completed, 500u);
   EXPECT_EQ(exp.testbed().live_replica_count(), 3u);
 }
@@ -223,9 +228,9 @@ TEST(ChaosScheduleTest, LeakBurstAcceleratesProactiveRecovery) {
   exp.sim().run_for(milliseconds(500));
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.chaos_faults, 1u);
+  EXPECT_EQ(r.counter("chaos.faults"), 1u);
   EXPECT_EQ(exp.obs().metrics().counter_value("chaos.leak_burst"), 1u);
-  EXPECT_GE(r.proactive_launches, 1u);
+  EXPECT_GE(r.counter("rm.proactive_launches"), 1u);
   EXPECT_GE(r.server_failures, 1u);  // the burst victim rejuvenated
   EXPECT_EQ(r.client.invocations_completed, 600u);
   EXPECT_EQ(exp.testbed().live_replica_count(), 3u);
@@ -288,7 +293,7 @@ TEST(ChaosScheduleTest, JoinNodeRebalancesOntoTheJoinerAndRetiresVictims) {
   exp.sim().run_for(milliseconds(1000));  // drain + retire + settle
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.chaos_faults, 1u);
+  EXPECT_EQ(r.counter("chaos.faults"), 1u);
   EXPECT_GE(exp.testbed().acting_rm().alive_epoch(), 1u);
   const std::uint64_t moves =
       exp.obs().metrics().counter_value("rm.rebalance.moves");
@@ -333,7 +338,7 @@ TEST(ChaosScheduleTest, IdenticalCountersSequentialVsPool) {
   const std::vector<ExperimentResult> pooled = run_experiments(specs, 3);
   ASSERT_EQ(pooled.size(), sequential.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_GE(sequential[i].chaos_faults, 5u) << i;
+    EXPECT_GE(sequential[i].counter("chaos.faults"), 5u) << i;
     EXPECT_EQ(fingerprint(pooled[i]), fingerprint(sequential[i])) << i;
   }
 }

@@ -139,10 +139,12 @@ ExperimentSpec soak_spec(std::uint64_t seed) {
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream os;
   os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes << '|'
-     << r.chaos_faults << '|' << r.rm_failovers;
+     << r.counter("chaos.faults") << '|' << r.counter("rm.failovers");
   for (const auto& g : r.group_results) {
-    os << ';' << g.service << ':' << g.server_failures << ',' << g.launches
-       << ',' << g.proactive_launches << ',' << g.reactive_launches << ','
+    os << ';' << g.service << ':' << g.server_failures << ','
+       << r.counter("rm.launches." + g.service) << ','
+       << r.counter("rm.proactive_launches." + g.service) << ','
+       << r.counter("rm.reactive_launches." + g.service) << ','
        << g.invocations_completed << ',' << g.client_exceptions << ','
        << g.state_applied << ',' << g.state_restores << ','
        << (g.state_ok ? 1 : 0);
@@ -188,7 +190,7 @@ TEST(ChaosSoakTest, RandomSchedulesHoldInvariants) {
     // its target had no live replica left at fire time.
     const std::uint64_t skipped =
         exp.obs().metrics().counter_value("chaos.skipped");
-    EXPECT_EQ(r.chaos_faults + skipped, spec.chaos.events.size());
+    EXPECT_EQ(r.counter("chaos.faults") + skipped, spec.chaos.events.size());
 
     const net::Network& net = exp.testbed().net();
     ASSERT_EQ(r.group_results.size(), spec.groups.size());
@@ -241,7 +243,7 @@ TEST(ChaosSoakTest, RandomSchedulesHoldInvariants) {
       }
     }
     if (victim_was_acting) {
-      EXPECT_GE(r.rm_failovers, 1u) << "acting RM crashed but no backup promoted";
+      EXPECT_GE(r.counter("rm.failovers"), 1u) << "acting RM crashed but no backup promoted";
     }
     // Cross-replica agreement: every live, non-retired manager fed the
     // same ordered stream computes the identical alive epoch and the

@@ -20,11 +20,13 @@ namespace {
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream os;
   os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes << '|'
-     << r.rm_migrations << '|' << r.handoff_ms;
+     << r.counter("rm.migrations") << '|' << r.counter("mead.handoff_ms");
   for (const auto& g : r.group_results) {
-    os << ';' << g.service << ':' << g.launches << ','
-       << g.proactive_launches << ',' << g.reactive_launches << ','
-       << g.rm_migrations << ',' << g.invocations_completed << ','
+    os << ';' << g.service << ':' << r.counter("rm.launches." + g.service)
+       << ',' << r.counter("rm.proactive_launches." + g.service) << ','
+       << r.counter("rm.reactive_launches." + g.service) << ','
+       << r.counter("rm.migrations." + g.service) << ','
+       << g.invocations_completed << ','
        << g.client_exceptions << ',' << (g.state_ok ? 1 : 0);
   }
   return os.str();
@@ -50,13 +52,14 @@ TEST(MigrationTest, PlannerRotatesLeakingPrimaryBeforeExhaustion) {
   const GroupResult& g = r.group_results[0];
   // The planner fired and drove the whole pipeline: plan, pre-warm spawn,
   // handoff, drain (each handoff charges its drain window to the counter).
-  EXPECT_GE(r.rm_migrations, 1u);
-  EXPECT_EQ(g.rm_migrations, r.rm_migrations);
-  EXPECT_GT(r.handoff_ms, 0u);
-  EXPECT_GE(g.proactive_launches, r.rm_migrations);
+  const std::uint64_t migrations = r.counter("rm.migrations");
+  EXPECT_GE(migrations, 1u);
+  EXPECT_EQ(r.counter("rm.migrations." + g.service), migrations);
+  EXPECT_GT(r.counter("mead.handoff_ms"), 0u);
+  EXPECT_GE(r.counter("rm.proactive_launches." + g.service), migrations);
   // Migration preempted every exhaustion crash: no reactive launch ever
   // happened, and the client finished its full workload.
-  EXPECT_EQ(g.reactive_launches, 0u);
+  EXPECT_EQ(r.counter("rm.reactive_launches." + g.service), 0u);
   EXPECT_EQ(g.invocations_completed, 10'000u);
 }
 
@@ -83,8 +86,10 @@ TEST(MigrationTest, LeakBurstRacingPlannedRotationResolvesExactlyOnce) {
     const GroupResult& g = r.group_results[0];
     EXPECT_EQ(g.invocations_completed, 3'000u);
     // Every launch is attributed to exactly one pipeline.
-    EXPECT_EQ(g.launches, g.proactive_launches + g.reactive_launches);
-    EXPECT_GE(g.launches, 1u);
+    const std::uint64_t launches = r.counter("rm.launches." + g.service);
+    EXPECT_EQ(launches, r.counter("rm.proactive_launches." + g.service) +
+                            r.counter("rm.reactive_launches." + g.service));
+    EXPECT_GE(launches, 1u);
     // Recovery settled and never double-launched.
     const ServiceGroup* sg = exp.testbed().group(kServiceName);
     ASSERT_NE(sg, nullptr);
@@ -126,9 +131,9 @@ TEST(MigrationTest, DefaultConfigurationKeepsMigrationPlaneDark) {
   exp.launch_client();
   exp.run_to_completion();
   const ExperimentResult r = exp.collect();
-  EXPECT_EQ(r.rm_migrations, 0u);
-  EXPECT_EQ(r.handoff_ms, 0u);
-  EXPECT_EQ(r.dedup_hits, 0u);
+  EXPECT_EQ(r.counter("rm.migrations"), 0u);
+  EXPECT_EQ(r.counter("mead.handoff_ms"), 0u);
+  EXPECT_EQ(r.counter("state.dedup.hits"), 0u);
   for (const auto& ev : exp.obs().trace().events()) {
     EXPECT_NE(ev.kind, obs::EventKind::kMigrationPlanned);
     EXPECT_NE(ev.kind, obs::EventKind::kHandoff);

@@ -34,8 +34,9 @@ std::string fingerprint(const ExperimentResult& r) {
   os << r.sim_events << '|' << r.server_failures << '|' << r.gc_bytes;
   for (const auto& g : r.group_results) {
     os << ';' << g.service << ':' << g.replica_count << ','
-       << g.server_failures << ',' << g.launches << ','
-       << g.proactive_launches << ',' << g.reactive_launches << ','
+       << g.server_failures << ',' << r.counter("rm.launches." + g.service)
+       << ',' << r.counter("rm.proactive_launches." + g.service) << ','
+       << r.counter("rm.reactive_launches." + g.service) << ','
        << g.invocations_completed << ',' << g.client_exceptions << ','
        << g.naming_refreshes;
   }

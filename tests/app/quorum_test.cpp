@@ -209,7 +209,7 @@ TEST(QuorumTest, ReplyDedupAppliesRetriedRequestExactlyOnce) {
   const ExperimentResult with = run_experiment(dedup_spec(128));
   ASSERT_EQ(with.group_results.size(), 1u);
   EXPECT_EQ(with.group_results[0].invocations_completed, 1'000u);
-  EXPECT_GE(with.dedup_hits, 1u);
+  EXPECT_GE(with.counter("state.dedup.hits"), 1u);
   EXPECT_TRUE(with.state_ok);
   // Exactly-once: one applied op per completed invocation, despite retries.
   EXPECT_EQ(with.group_results[0].state_applied,
@@ -218,7 +218,7 @@ TEST(QuorumTest, ReplyDedupAppliesRetriedRequestExactlyOnce) {
   // Control: with the cache off, the same retries re-apply and the state
   // machine runs ahead of the invocation count.
   const ExperimentResult without = run_experiment(dedup_spec(0));
-  EXPECT_EQ(without.dedup_hits, 0u);
+  EXPECT_EQ(without.counter("state.dedup.hits"), 0u);
   EXPECT_GT(without.group_results[0].state_applied,
             without.group_results[0].invocations_completed);
 }

@@ -140,7 +140,7 @@ TEST(RoutingTest, ReadFanoutSurvivesReadReplicaCrash) {
   for (const auto& c : r.client_results) {
     EXPECT_EQ(c.invocations_completed, 600u) << c.label;
   }
-  EXPECT_EQ(r.chaos_faults, 1u);
+  EXPECT_EQ(r.counter("chaos.faults"), 1u);
   EXPECT_GE(r.server_failures, 1u);
 }
 

@@ -62,13 +62,40 @@ TEST(DeterminismTest, RegistrySuppliesTableOneCounters) {
   // MEAD at the default thresholds masks failures via redirects.
   EXPECT_GT(metrics.counter_value("client.mead_redirects"), 0u);
   const auto r = exp.collect();
-  EXPECT_EQ(r.mead_redirects, metrics.counter_value("client.mead_redirects"));
+  EXPECT_EQ(r.counter("client.mead_redirects"),
+            metrics.counter_value("client.mead_redirects"));
   EXPECT_GT(r.client.invocations_completed, 0u);
   // The registry RTT series collects one sample per completed invocation
   // (the initial Naming resolve is only in the client-local series).
   ASSERT_NE(metrics.find_series("client.rtt_ms"), nullptr);
   EXPECT_EQ(metrics.find_series("client.rtt_ms")->count(),
             r.client.invocations_completed);
+}
+
+TEST(DeterminismTest, ResultCountersAreWindowDeltas) {
+  // collect() reports each registry counter's growth since start(), for
+  // any counter name, without creating one.
+  Experiment exp(short_spec());
+  ASSERT_TRUE(exp.start().ok());
+  auto& metrics = exp.obs().metrics();
+  const std::uint64_t frames0 = metrics.counter_value("gc.frames");
+  ASSERT_GT(frames0, 0u);  // start-up traffic, outside the window
+  exp.launch_client();
+  exp.run_to_completion();
+  metrics.counter("test.fresh").add(3);
+  const std::size_t count = metrics.counter_count();
+  const auto r = exp.collect();
+  EXPECT_EQ(metrics.counter_count(), count);
+  // Already nonzero at start(): only the in-window growth.
+  EXPECT_GT(r.counter("gc.frames"), 0u);
+  EXPECT_EQ(r.counter("gc.frames"),
+            metrics.counter_value("gc.frames") - frames0);
+  // Created after start(): counted from 0.
+  EXPECT_EQ(r.counter("test.fresh"), 3u);
+  // Never created: 0, and absent from the deltas.
+  EXPECT_EQ(r.counter("test.never"), 0u);
+  EXPECT_EQ(r.counters.count("test.never"), 0u);
+  for (const auto& [name, d] : r.counters) EXPECT_GT(d, 0u) << name;
 }
 
 // ---- Golden digests ----
@@ -207,11 +234,7 @@ TEST(DeterminismTest, ParallelSweepMatchesSequentialBitForBit) {
     EXPECT_EQ(seq[i].client.transients, par[i].client.transients);
     EXPECT_EQ(seq[i].server_failures, par[i].server_failures);
     EXPECT_EQ(seq[i].gc_bytes, par[i].gc_bytes);
-    EXPECT_EQ(seq[i].mead_redirects, par[i].mead_redirects);
-    EXPECT_EQ(seq[i].masked_failures, par[i].masked_failures);
-    EXPECT_EQ(seq[i].query_timeouts, par[i].query_timeouts);
-    EXPECT_EQ(seq[i].forwards, par[i].forwards);
-    EXPECT_EQ(seq[i].proactive_launches, par[i].proactive_launches);
+    EXPECT_EQ(seq[i].counters, par[i].counters);
     EXPECT_EQ(seq[i].sim_events, par[i].sim_events);
     EXPECT_EQ(seq[i].duration_s, par[i].duration_s);
     EXPECT_EQ(seq[i].client.rtt_ms.samples(), par[i].client.rtt_ms.samples());

@@ -37,8 +37,8 @@ TEST(StateRecoveryTest, PrimaryCheckpointsAndBackupsMirror) {
   ASSERT_EQ(r.group_results.size(), 1u);
   EXPECT_EQ(r.group_results[0].invocations_completed, 400u);
   // The primary checkpointed throughout the run and shipped real bytes.
-  EXPECT_GT(r.ckpt_deltas, 0u);
-  EXPECT_GT(r.ckpt_bytes, 0u);
+  EXPECT_GT(r.counter("state.ckpt.deltas"), 0u);
+  EXPECT_GT(r.counter("state.ckpt.bytes"), 0u);
   // Every surviving replica's digest matches its own applied-op count.
   EXPECT_TRUE(r.state_ok);
   EXPECT_GT(r.group_results[0].state_applied, 0u);
@@ -94,9 +94,9 @@ TEST(StateRecoveryTest, DefaultConfigBuildsNoStateMachinery) {
   exp.run_to_completion();
   const ExperimentResult r = exp.collect();
 
-  EXPECT_EQ(r.ckpt_deltas, 0u);
-  EXPECT_EQ(r.ckpt_bytes, 0u);
-  EXPECT_EQ(r.replayed_msgs, 0u);
+  EXPECT_EQ(r.counter("state.ckpt.deltas"), 0u);
+  EXPECT_EQ(r.counter("state.ckpt.bytes"), 0u);
+  EXPECT_EQ(r.counter("state.replay.msgs"), 0u);
   EXPECT_EQ(r.state_restores, 0u);
   EXPECT_TRUE(r.state_ok);  // trivially: no stateful group
 
