@@ -118,7 +118,8 @@ struct Digests {
   std::uint64_t metrics = 0;
 };
 
-Digests digest_run(const ExperimentSpec& spec) {
+/// Checks the run's digests against `want`; returns its result.
+ExperimentResult expect_digests(const ExperimentSpec& spec, Digests want) {
   Experiment exp(spec);
   auto up = exp.start();
   EXPECT_TRUE(up.ok()) << (up.ok() ? "" : up.error().reason);
@@ -126,16 +127,13 @@ Digests digest_run(const ExperimentSpec& spec) {
   exp.run_to_completion();
   // A wrapped ring would pin only the trace's tail.
   EXPECT_EQ(exp.obs().trace().dropped(), 0u);
-  return {fnv1a64(exp.obs().trace().to_jsonl()),
-          fnv1a64(exp.obs().metrics().to_csv())};
-}
-
-void expect_digests(const ExperimentSpec& spec, Digests want) {
-  const Digests got = digest_run(spec);
+  const Digests got{fnv1a64(exp.obs().trace().to_jsonl()),
+                    fnv1a64(exp.obs().metrics().to_csv())};
   EXPECT_EQ(got.trace, want.trace)
       << "trace digest 0x" << std::hex << got.trace;
   EXPECT_EQ(got.metrics, want.metrics)
       << "metrics digest 0x" << std::hex << got.metrics;
+  return exp.collect();
 }
 
 /// The scaled GC plane on the bench_multigroup shape: 16 groups packed on
@@ -193,6 +191,44 @@ TEST(GoldenDigestTest, ScaledPlanePartitionAndHeal) {
   spec.invoke_timeout = milliseconds(30);
   spec.chaos.partition(milliseconds(40), "node3").heal(milliseconds(150));
   expect_digests(spec, {0xe1511212eb6296dc, 0xc6a0077ba758e746});
+}
+
+TEST(GoldenDigestTest, StatefulCheckpointChain) {
+  // perfbench's stateful_restore shape: one 8192-key group, value_pad 32,
+  // 10 ms checkpoints. Both schemes restore a replacement from the
+  // checkpoint chain, so the pins cover the kCkptDelta codec, the ckpt
+  // group's fan-out across the GC plane and the restore handshake.
+  struct Case {
+    core::RecoveryScheme scheme;
+    Digests want;
+  };
+  const Case cases[] = {
+      {core::RecoveryScheme::kReactiveNoCache,
+       {0x3538c792614305cd, 0x4c63b33bec9d8b26}},
+      {core::RecoveryScheme::kMeadMessage,
+       {0x3b9bae1bace76bc9, 0x0d705a52e707bba9}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(core::to_string(c.scheme)));
+    ExperimentSpec spec;
+    spec.scheme = c.scheme;
+    spec.seed = 2004;
+    spec.invocations = 2000;
+    spec.invoke_timeout = milliseconds(25);
+    ServiceGroupSpec g;
+    g.scheme = c.scheme;
+    g.state.enabled = true;
+    g.state.keys = 8192;
+    g.state.value_pad = 32;
+    g.state.checkpoint_interval = milliseconds(10);
+    g.state.log_cap = 256;
+    g.state.restore_grace = milliseconds(10);
+    g.state.restore_deadline = milliseconds(250);
+    spec.groups.push_back(std::move(g));
+    const ExperimentResult r = expect_digests(spec, c.want);
+    EXPECT_GT(r.counter("state.ckpt.deltas"), 0u);
+    EXPECT_GT(r.state_restores, 0u);
+  }
 }
 
 std::string slurp(const std::string& path) {
