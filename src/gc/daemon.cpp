@@ -301,9 +301,9 @@ void GcDaemon::spawn_write(int fd, Bytes data) {
   proc_->sim().spawn(writer(*proc_, fd, std::move(data)));
 }
 
-void GcDaemon::mesh_send(int fd, ByteView frame) {
-  if (cfg_.plane.sharded) return batch_append(fd, frame);
-  spawn_write(fd, Bytes(frame));
+void GcDaemon::mesh_send(int fd, Frame& f) {
+  if (cfg_.plane.sharded) return batch_append(fd, f.wire());
+  spawn_write(fd, f.share_wire());
 }
 
 void GcDaemon::batch_append(int fd, ByteView frame) {
@@ -332,7 +332,7 @@ void GcDaemon::direct_broadcast(Bytes wire, int skip_fd) {
   for (const auto& [peer, fd] : peer_fds_) {
     (void)peer;
     if (fd == skip_fd) continue;
-    if (last_fd >= 0) direct_send(last_fd, wire);
+    if (last_fd >= 0) direct_send(last_fd, wire.share());
     last_fd = fd;
   }
   if (last_fd >= 0) direct_send(last_fd, std::move(wire));
@@ -494,7 +494,7 @@ void GcDaemon::handle_frame(int fd, Frame& frame) {
         for (std::uint64_t target : bridge_targets_) {
           if (target == from_peer) continue;
           auto pfd = peer_fds_.find(target);
-          if (pfd != peer_fds_.end()) mesh_send(pfd->second, frame.wire());
+          if (pfd != peer_fds_.end()) mesh_send(pfd->second, frame);
         }
       }
       break;
@@ -551,7 +551,7 @@ void GcDaemon::submit(PayloadKind kind, std::string_view group,
   route_pending(m.msg_id);
 }
 
-GcDaemon::Route GcDaemon::route(const GroupSlot& s, ByteView wire, int from_fd) {
+GcDaemon::Route GcDaemon::route(const GroupSlot& s, Frame& f, int from_fd) {
   // Only the group's stamper stamps (the global sequencer in legacy mode).
   // A submit that reaches the wrong daemon means the sender's notion of the
   // stamper is stale (a rejoin or takeover just reseated it); relay toward
@@ -570,7 +570,7 @@ GcDaemon::Route GcDaemon::route(const GroupSlot& s, ByteView wire, int from_fd) 
         it = peer_fds_.end();
       }
     }
-    if (it != peer_fds_.end()) mesh_send(it->second, wire);
+    if (it != peer_fds_.end()) mesh_send(it->second, f);
     return Route::kSent;
   }
   return mesh_ready() ? Route::kStamp : Route::kPark;
@@ -580,7 +580,7 @@ void GcDaemon::route_submit(Frame f, int from_fd) {
   auto m = decode_ordered_like(f.payload);
   if (!m) return;
   GroupSlot& s = slot(m->group);
-  switch (route(s, f.wire(), from_fd)) {
+  switch (route(s, f, from_fd)) {
     case Route::kSent:
       return;
     case Route::kPark:
@@ -595,13 +595,13 @@ void GcDaemon::route_submit(Frame f, int from_fd) {
 void GcDaemon::route_pending(std::uint64_t msg_id) {
   auto it = pending_.find(msg_id);
   if (it == pending_.end()) return;
-  const Frame& f = it->second;
+  Frame& f = it->second;
   GroupSlot& s = slot(decode_ordered_like(f.payload)->group);  // ours: valid
-  switch (route(s, f.wire(), /*from_fd=*/-1)) {
+  switch (route(s, f, /*from_fd=*/-1)) {
     case Route::kSent:
       return;
     case Route::kPark:
-      stamp_wait_.emplace_back(Op::kSubmit, Bytes(f.wire()));
+      stamp_wait_.emplace_back(Op::kSubmit, f.share_wire());
       return;
     case Route::kStamp:
       stamp_pending(msg_id);
@@ -656,17 +656,17 @@ bool GcDaemon::stamp_and_dispatch(Frame& f, GroupSlot& s) {
       }
     }
   }
-  // Every recipient gets a copy: the frame stays put for handle_ordered's
-  // views.
+  // The frame stays put for handle_ordered's views; the recipients share
+  // its block.
   if (scoped) {
     for (std::uint64_t d : interested) {
       auto fd = peer_fds_.find(d);
-      if (fd != peer_fds_.end()) mesh_send(fd->second, wire);
+      if (fd != peer_fds_.end()) mesh_send(fd->second, f);
     }
   } else {
     for (auto& [peer, fd] : peer_fds_) {
       (void)peer;
-      mesh_send(fd, wire);
+      mesh_send(fd, f);
     }
   }
   return handle_ordered(m, s);
@@ -683,7 +683,7 @@ void GcDaemon::write_to_local(const GroupSlot& g, Encode encode) {
     if (last_fd < 0) {
       wire = encode();
     } else {
-      spawn_write(last_fd, wire);
+      spawn_write(last_fd, wire.share());
     }
     last_fd = fd->second;
   }
@@ -809,7 +809,7 @@ void GcDaemon::handle_peer_gone(std::uint64_t peer_id, int fd) {
     // Resubmit pending to the new sequencer.
     auto it = peer_fds_.find(sequencer_id());
     if (it != peer_fds_.end()) {
-      for (const auto& [id, f] : pending_) mesh_send(it->second, f.wire());
+      for (auto& [id, f] : pending_) mesh_send(it->second, f);
     }
   }
 

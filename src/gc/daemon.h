@@ -232,43 +232,43 @@ class GcDaemon {
               std::string_view member, ByteView payload = {});
   /// What route() decided for a submission.
   enum class Route { kSent, kPark, kStamp };
-  /// Sends a copy of the kSubmit frame `wire` for `s` to its stamper, or
-  /// relays it via the lowest-id linked peer while that stamper is alive
-  /// but unlinked (the bridged regime); kSent also covers a stamper with
-  /// no route. If the stamper is us: kPark before the mesh is complete,
-  /// else kStamp. `from_fd` is the link it arrived on (-1 for local),
-  /// never relayed back.
-  Route route(const GroupSlot& s, ByteView wire, int from_fd);
+  /// Sends the kSubmit frame `f` for `s` to its stamper, or relays it via
+  /// the lowest-id linked peer while that stamper is alive but unlinked
+  /// (the bridged regime); kSent also covers a stamper with no route. If
+  /// the stamper is us: kPark before the mesh is complete, else kStamp.
+  /// `from_fd` is the link it arrived on (-1 for local), never relayed
+  /// back.
+  Route route(const GroupSlot& s, Frame& f, int from_fd);
   /// Routes a foreign kSubmit frame, parking or stamping it here if route()
   /// says so.
   void route_submit(Frame f, int from_fd);
-  /// Routes our pending submission `msg_id`; parking parks a copy.
+  /// Routes our pending submission `msg_id`; parking parks a frame that
+  /// shares its bytes.
   void route_pending(std::uint64_t msg_id);
   /// Stamps our pending submission `msg_id` here. Its frame leaves pending_
   /// for the dispatch, and goes back as a kSubmit frame if it was stale.
   void stamp_pending(std::uint64_t msg_id);
   /// Restamps the kSubmit frame `f` as the next kOrdered one in place,
-  /// writes a copy to each recipient daemon, and applies it here; returns
+  /// sends it to each recipient daemon, and applies it here; returns
   /// handle_ordered's freshness.
   bool stamp_and_dispatch(Frame& f, GroupSlot& s);
   /// Applies `m` unless already applied; returns whether it was fresh.
   /// Dedupe is a high-water mark per (group, origin): see GroupSlot::done.
   bool handle_ordered(const OrderedView& m, GroupSlot& s);
   /// Writes `encode()` to every member of `g` homed here whose client is
-  /// connected, encoding only if one exists; the last write takes the
-  /// buffer instead of a copy.
+  /// connected, encoding only if one exists; the writes share one buffer.
   template <typename Encode>
   void write_to_local(const GroupSlot& g, Encode encode);
   void spawn_write(int fd, Bytes data);
-  /// Mesh write of a copy of `frame`, coalesced into the fd's pending
-  /// FrameBatch on the scaled plane.
-  void mesh_send(int fd, ByteView frame);
+  /// Mesh write of `f`: on the legacy plane a buffer sharing f's block, on
+  /// the scaled plane a copy coalesced into the fd's pending FrameBatch.
+  void mesh_send(int fd, Frame& f);
   void batch_append(int fd, ByteView frame);
   /// Unbatched write; flushes the fd's pending batch first so control
   /// frames never overtake batched ordered traffic (FIFO per link).
   void direct_send(int fd, Bytes data);
-  /// direct_send to every linked peer except `skip_fd`, in peer-id order;
-  /// the last one takes `wire`.
+  /// direct_send to every linked peer except `skip_fd`, in peer-id order,
+  /// all on `wire`'s one buffer.
   void direct_broadcast(Bytes wire, int skip_fd = -1);
   void flush_batch(int fd);
   sim::Task<void> batch_flush_task(int fd, std::uint64_t epoch);

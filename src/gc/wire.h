@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/expected.h"
@@ -276,7 +277,7 @@ class Frame {
   /// end.
   Frame(Op o, Bytes bytes, std::size_t at = 0)
       : bytes_(std::move(bytes)), at_(at), op(o),
-        payload(ByteView(bytes_).subspan(at + kFrameHeader)) {}
+        payload(ByteView(std::as_const(bytes_)).subspan(at + kFrameHeader)) {}
   // A moved Bytes hands over its block, so the views stay put.
   Frame(Frame&&) noexcept = default;
   Frame& operator=(Frame&&) noexcept = default;
@@ -285,11 +286,15 @@ class Frame {
 
   /// The frame as it crosses the wire.
   [[nodiscard]] ByteView wire() const { return ByteView(bytes_).subspan(at_); }
+  /// wire() on a buffer of its own that shares this frame's block: how one
+  /// frame goes to several recipients without a copy each.
+  [[nodiscard]] Bytes share_wire() { return bytes_.share(at_, bytes_.size() - at_); }
   /// Writes `o` and `seq` into this kSubmit or kOrdered frame in place:
   /// restamping the frame of encode_submit(m) as kOrdered with seq s gives
   /// the bytes of encode_ordered(m) with m.seq = s. The u64 seq sits at
   /// body offset 0, where the body's CDR stream starts, so it has no
-  /// padding ahead of it.
+  /// padding ahead of it. A frame whose bytes are shared copies them out
+  /// first, so the other holders keep theirs.
   void restamp(Op o, std::uint64_t seq);
 
  private:
@@ -344,7 +349,7 @@ struct FrameRule {
   static constexpr std::size_t kHeaderSize = kFrameHeader;
   static std::size_t frame_size(const std::uint8_t* head);
   static Frame make(Bytes buf, std::size_t at) {
-    const auto op = static_cast<Op>(buf[at + kOpAt]);
+    const auto op = static_cast<Op>(std::as_const(buf)[at + kOpAt]);
     return Frame(op, std::move(buf), at);
   }
 };

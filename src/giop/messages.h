@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/types.h"
 #include "giop/cdr.h"
@@ -165,7 +166,7 @@ struct FrameRule {
   /// its consumed head dropped in place.
   static Frame make(Bytes buf, std::size_t at) {
     buf.erase_prefix(at);
-    const Header h = decode_header(buf).value();
+    const Header h = decode_header(std::as_const(buf)).value();
     return Frame{h, std::move(buf)};
   }
 };

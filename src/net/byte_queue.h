@@ -52,7 +52,7 @@ class ByteQueue {
     out.reserve(n);
     std::size_t remaining = n;
     while (remaining > 0) {
-      Bytes& head = chunks_.front();
+      const Bytes& head = chunks_.front();
       const std::size_t avail = head.size() - offset_;
       const std::size_t take = avail < remaining ? avail : remaining;
       out.insert(out.end(), head.begin() + static_cast<std::ptrdiff_t>(offset_),

@@ -7,7 +7,9 @@
 // Frames take their bytes rather than copy them where they can: feed()
 // adopts a chunk when nothing is buffered, and next() hands the whole
 // buffer to a frame that ends it, whatever the frames ahead of it. Only a
-// frame with more bytes behind it is copied out.
+// frame with more bytes behind it is copied out. The chunk may be a shared
+// buffer (one stamped frame fanned out to several readers): the framer
+// only reads it, through const access, so it is never copied for that.
 #pragma once
 
 #include <cstddef>
@@ -34,14 +36,15 @@ class Framer {
     // erase per frame (quadratic when one chunk carries many frames).
     buf_.erase_prefix(head_);
     head_ = 0;
-    buf_.append(chunk);
+    buf_.append(std::as_const(chunk));
   }
 
   /// Next complete frame; nullopt if more bytes are needed. A malformed
   /// stream sets corrupt() and yields nullopt forever.
   std::optional<Frame> next() {
     if (corrupt_ || buffered() < Rule::kHeaderSize) return std::nullopt;
-    const std::size_t size = Rule::frame_size(buf_.data() + head_);
+    const Bytes& buf = buf_;
+    const std::size_t size = Rule::frame_size(buf.data() + head_);
     corrupt_ = size == 0;
     if (corrupt_ || buffered() < size) return std::nullopt;
     const std::size_t at = head_;
@@ -51,7 +54,7 @@ class Framer {
       return Rule::make(std::move(buf_), at);  // leaves buf_ empty
     }
     head_ += size;
-    return Rule::make(Bytes(ByteView(buf_).subspan(at, size)), 0);
+    return Rule::make(Bytes(ByteView(buf).subspan(at, size)), 0);
   }
 
   [[nodiscard]] bool corrupt() const { return corrupt_; }

@@ -483,8 +483,7 @@ sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
       net().delivery_delay(end.node, peer.node, peer.local, n);
   Network* network = &net();
   const TimePoint arrival = network->reserve_arrival(peer, delay);
-  sim().schedule(arrival - sim().now(),
-                 [network, conn, peer_side,
+  auto deliver = [network, conn, peer_side,
                   payload = std::move(data)]() mutable {
     detail::ConnEnd& dst = conn->ends[peer_side];
     if (dst.local_closed) return;  // delivered into a closed socket: dropped
@@ -494,7 +493,10 @@ sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
     conn->service_bytes->add(delivered);
     conn->total_bytes->add(delivered);
     dst.readers.wake_all(network->sim());
-  });
+  };
+  // Every write schedules one delivery: keep it off the heap.
+  static_assert(sim::EventFn::fits_inline<decltype(deliver)>());
+  sim().schedule(arrival - sim().now(), std::move(deliver));
   co_return n;
 }
 
