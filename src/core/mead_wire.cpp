@@ -1,5 +1,8 @@
 #include "core/mead_wire.h"
 
+#include <bit>
+#include <cstring>
+
 namespace mead::core {
 
 using giop::ByteOrder;
@@ -50,6 +53,84 @@ std::optional<Announce> read_announce(CdrReader& r) {
                   std::move(ior.value())};
 }
 
+using CkptEntries = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+/// Where a kCkptDelta entry's fields sit, from the entry's start: its u32
+/// key and u64 value are CDR-aligned relative to the stream start, and
+/// `value_pad` zero bytes follow, so the layout depends only on the start
+/// offset modulo 8. The value ends 8-aligned, so every entry after the
+/// first starts at value_pad modulo 8 and all of them share one layout.
+struct EntryLayout {
+  std::size_t key;
+  std::size_t value;
+  std::size_t size;  // the whole entry, pad included
+};
+
+EntryLayout entry_layout(std::size_t start, std::uint32_t value_pad) {
+  const std::size_t r = start % 8;
+  const std::size_t key = (4 - r % 4) % 4;
+  const std::size_t value = (r + key + 4 + 7) / 8 * 8 - r;
+  return {key, value, value + 8 + value_pad};
+}
+
+template <typename T>
+void put_le(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native != std::endian::little) v = giop::cdr_byteswap(v);
+  std::memcpy(p, &v, sizeof(T));
+}
+
+template <typename T>
+T get_le(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  if constexpr (std::endian::native != std::endian::little) v = giop::cdr_byteswap(v);
+  return v;
+}
+
+/// The entry block, written in one pass over a buffer extended once.
+void write_ckpt_entries(CdrWriter& w, const CkptEntries& entries,
+                        std::uint32_t value_pad) {
+  if (entries.empty()) return;
+  const std::size_t start = w.stream_pos();
+  const EntryLayout first = entry_layout(start, value_pad);
+  const EntryLayout rest = entry_layout(start + first.size, value_pad);
+  const std::size_t total = first.size + (entries.size() - 1) * rest.size;
+  std::uint8_t* p = w.extend(total);
+  std::memset(p, 0, total);  // alignment gaps and pads
+  EntryLayout at = first;
+  for (const auto& [key, value] : entries) {
+    put_le(p + at.key, key);
+    put_le(p + at.value, value);
+    p += at.size;
+    at = rest;
+  }
+}
+
+/// Reads `count` entries into `out`. The whole block is bounds-checked
+/// before anything is allocated, so a truncated block or an inflated count
+/// fails without reserving for it.
+bool read_ckpt_entries(CdrReader& r, std::uint32_t count,
+                       std::uint32_t value_pad, CkptEntries& out) {
+  if (count == 0) return true;
+  const std::size_t start = r.stream_pos();
+  const EntryLayout first = entry_layout(start, value_pad);
+  const EntryLayout rest = entry_layout(start + first.size, value_pad);
+  const std::size_t left = r.remaining();
+  if (left < first.size || count - 1 > (left - first.size) / rest.size) {
+    return false;
+  }
+  const std::uint8_t* p = r.take(first.size + (count - 1) * rest.size);
+  out.resize(count);
+  EntryLayout at = first;
+  for (auto& [key, value] : out) {
+    key = get_le<std::uint32_t>(p + at.key);
+    value = get_le<std::uint64_t>(p + at.value);
+    p += at.size;
+    at = rest;
+  }
+  return true;
+}
+
 /// One kCkptDelta frame from any source with the checkpoint fields
 /// (CkptDelta or state::Checkpoint), so neither path copies entries.
 template <class C>
@@ -70,11 +151,7 @@ Bytes encode_ckpt(const C& c, const std::string& member, std::uint64_t nonce,
   w.write_u64(c.digest);
   w.write_u32(value_pad);
   w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
-  for (const auto& [key, value] : c.entries) {
-    w.write_u32(key);
-    w.write_u64(value);
-    w.write_zeros(value_pad);
-  }
+  write_ckpt_entries(w, c.entries, value_pad);
   return w.take();
 }
 
@@ -410,15 +487,8 @@ std::optional<CtrlMsg> decode_ctrl(ByteView payload) {
       if (!pad) return std::nullopt;
       d.value_pad = pad.value();
       auto n = r.read_u32();
-      if (!n) return std::nullopt;
-      d.entries.reserve(r.bounded_count(n.value(), 12 + std::size_t{d.value_pad}));
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto key = r.read_u32();
-        if (!key) return std::nullopt;
-        auto value = r.read_u64();
-        if (!value) return std::nullopt;
-        if (d.value_pad > 0 && !r.skip(d.value_pad)) return std::nullopt;
-        d.entries.emplace_back(key.value(), value.value());
+      if (!n || !read_ckpt_entries(r, n.value(), d.value_pad, d.entries)) {
+        return std::nullopt;
       }
       msg.ckpt_delta = std::move(d);
       return msg;
@@ -582,6 +652,16 @@ std::optional<CtrlMsg> decode_ctrl(ByteView payload) {
     }
   }
   return std::nullopt;
+}
+
+std::optional<CkptSource> peek_ckpt_source(ByteView payload) {
+  if (peek_ctrl_kind(payload) != CtrlKind::kCkptDelta) return std::nullopt;
+  CdrReader r(payload, ByteOrder::kLittleEndian, 1);
+  auto member = r.read_string_view();
+  if (!member) return std::nullopt;
+  auto nonce = r.read_u64();
+  if (!nonce) return std::nullopt;
+  return CkptSource{member.value(), nonce.value()};
 }
 
 }  // namespace mead::core

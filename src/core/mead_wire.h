@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -349,6 +350,16 @@ struct CtrlMsg {
 };
 
 std::optional<CtrlMsg> decode_ctrl(ByteView payload);
+
+/// A kCkptDelta's sender and nonce, read without its entries: a replica
+/// drops the checkpoints it would not apply before paying for their
+/// decode. `member` views the payload. nullopt unless the payload starts
+/// with a kCkptDelta's kind, sender and nonce.
+struct CkptSource {
+  std::string_view member;
+  std::uint64_t nonce = 0;
+};
+std::optional<CkptSource> peek_ckpt_source(ByteView payload);
 
 /// The kind byte of a control payload, read without decoding the body, so
 /// a consumer drops the kinds it never acts on before paying for them.

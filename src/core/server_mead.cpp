@@ -122,12 +122,8 @@ sim::Task<void> ServerMead::gc_pump() {
 }
 
 void ServerMead::handle_ctrl(const gc::Event& ev) {
-  // A primary never folds checkpoints in (it is their source), and a
-  // stateless replica has nothing to fold them into: skip the decode.
-  if (peek_ctrl_kind(ev.payload) == CtrlKind::kCkptDelta &&
-      (app_state_ == nullptr ||
-       (!restoring_ && registry_.is_first(cfg_.member)))) {
-    return;
+  if (peek_ctrl_kind(ev.payload) == CtrlKind::kCkptDelta && !wants_ckpt(ev.payload)) {
+    return;  // dropped before its entries are decoded
   }
   auto ctrl = decode_ctrl(ev.payload);
   if (!ctrl) return;
@@ -196,9 +192,7 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
       break;
     }
     case CtrlKind::kCkptDelta:
-      if (app_state_ && ctrl->ckpt_delta->member != cfg_.member) {
-        handle_ckpt_delta(std::move(*ctrl->ckpt_delta));
-      }
+      handle_ckpt_delta(std::move(*ctrl->ckpt_delta));
       break;
     case CtrlKind::kLogReplay:
       if (app_state_ && ctrl->log_replay->nonce != 0 &&
@@ -509,6 +503,20 @@ sim::Task<void> ServerMead::request_resync() {
                                       ckpt_store_->last_epoch()}));
 }
 
+bool ServerMead::wants_ckpt(ByteView payload) const {
+  // A stateless replica has nothing to fold checkpoints into.
+  if (app_state_ == nullptr) return false;
+  const auto src = peek_ckpt_source(payload);
+  if (!src || src->member == cfg_.member) return false;
+  // While restoring, only the directed stream we asked for: periodic
+  // pushes would interleave mid-chain and always gap.
+  if (restoring_) return src->nonce != 0 && src->nonce == await_nonce_;
+  // Otherwise periodic pushes and our own resync stream, except on the
+  // primary, which is their source.
+  return (src->nonce == 0 || src->nonce == await_nonce_) &&
+         !registry_.is_first(cfg_.member);
+}
+
 void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
   state::Checkpoint c;
   c.epoch = d.epoch;
@@ -519,10 +527,8 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
   c.digest = d.digest;
   c.entries = std::move(d.entries);
   if (restoring_) {
-    // Only the directed stream we asked for; periodic pushes would
-    // interleave mid-chain and always gap. A gap here is dropped: the
-    // restore watchdog's deadline bounds the wait.
-    if (d.nonce == 0 || d.nonce != await_nonce_) return;
+    // A gap here is dropped: the restore watchdog's deadline bounds the
+    // wait.
     if (ckpt_store_->apply(std::move(c), *app_state_) ==
         state::CheckpointStore::Apply::kApplied) {
       ++stats_.ckpt_applied;
@@ -530,8 +536,6 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
     }
     return;
   }
-  if (d.nonce != 0 && d.nonce != await_nonce_) return;
-  if (registry_.is_first(cfg_.member)) return;  // the primary is the source
   switch (ckpt_store_->apply(std::move(c), *app_state_)) {
     case state::CheckpointStore::Apply::kApplied:
       ++stats_.ckpt_applied;

@@ -168,6 +168,9 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> request_resync();
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
+  /// Whether a kCkptDelta payload is one this replica applies: handle_ctrl
+  /// decodes no other.
+  [[nodiscard]] bool wants_ckpt(ByteView payload) const;
   void handle_ckpt_delta(CkptDelta&& d);
   [[nodiscard]] std::uint64_t make_nonce();
   void handle_ctrl(const gc::Event& ev);

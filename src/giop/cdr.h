@@ -89,8 +89,12 @@ class CdrWriter {
   void write_octet_seq(ByteView bytes);
   /// Raw bytes with no length prefix (caller manages framing).
   void write_raw(ByteView bytes);
-  /// `n` zero bytes with no length prefix (padding).
-  void write_zeros(std::size_t n) { buf_.resize(buf_.size() + n); }
+  /// Offset from the stream start: where the next field's alignment is
+  /// reckoned from.
+  [[nodiscard]] std::size_t stream_pos() const { return buf_.size() - base_; }
+  /// Appends `n` uninitialised bytes and returns the first, for a caller
+  /// that lays out a block of fixed-layout fields itself.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) { return buf_.extend(n); }
 
  private:
   /// Zero-pads to sizeof(T) (relative to the stream start), then writes.
@@ -159,11 +163,15 @@ class CdrReader {
   /// input, valid as long as it is.
   CdrResult<std::string_view> read_string_view();
   CdrResult<ByteView> read_octet_view();
-  /// Steps over `n` bytes without copying them (padding, ignored fields).
-  CdrResult<void> skip(std::size_t n) {
-    if (!has(n)) return make_unexpected(CdrErr::kOutOfBounds);
+  /// Offset from the stream start, as CdrWriter::stream_pos.
+  [[nodiscard]] std::size_t stream_pos() const { return pos_ - base_; }
+  /// Steps over the next `n` bytes and returns the first, for a caller
+  /// that reads a block of fixed-layout fields itself; null, reading
+  /// nothing, if fewer remain.
+  [[nodiscard]] const std::uint8_t* take(std::size_t n) {
+    if (!has(n)) return nullptr;
     pos_ += n;
-    return {};
+    return data_ + pos_ - n;
   }
 
  private:
