@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gc/wire.h"
+#include "giop/cdr.h"
 #include "state/checkpoint.h"
 
 namespace mead::core {
@@ -355,6 +359,67 @@ TEST(WireGoldenTest, CkptDeltaBytesAcrossValuePads) {
     ASSERT_TRUE(msg.has_value()) << "value_pad=" << pad;
     EXPECT_EQ(*msg->ckpt_delta, c);
     expect_every_truncation_rejected(frame);
+  }
+}
+
+/// A kCkptDelta written one CDR field at a time: the reference the bulk
+/// entry codec must match byte for byte. `pad_at` is where the value_pad
+/// field sits.
+struct FieldByField {
+  Bytes frame;
+  std::size_t pad_at = 0;
+};
+
+FieldByField encode_ckpt_field_by_field(const CkptDelta& c) {
+  giop::CdrWriter w;
+  w.write_u8(static_cast<std::uint8_t>(CtrlKind::kCkptDelta));
+  w.begin_stream();
+  w.write_string(c.member);
+  w.write_u64(c.nonce);
+  w.write_u64(c.epoch);
+  w.write_u64(c.base_epoch);
+  w.write_bool(c.is_base);
+  w.write_u64(c.applied);
+  w.write_u64(c.prev_digest);
+  w.write_u64(c.digest);
+  w.write_u32(c.value_pad);
+  const std::size_t pad_at = w.size() - 4;
+  w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
+  const Bytes pad(c.value_pad);
+  for (const auto& [key, value] : c.entries) {
+    w.write_u32(key);
+    w.write_u64(value);
+    w.write_raw(pad);
+  }
+  return {w.take(), pad_at};
+}
+
+TEST(WireGoldenTest, CkptBulkCodecMatchesFieldByField) {
+  std::vector<std::uint32_t> pads;
+  for (std::uint32_t p = 0; p <= 9; ++p) pads.push_back(p);
+  pads.push_back(31);
+  pads.push_back(32);
+  for (const std::uint32_t pad : pads) {
+    // Member lengths 1-8 start the entry block at every offset modulo 8.
+    for (std::size_t len = 1; len <= 8; ++len) {
+      CkptDelta c = golden_ckpt(pad);
+      c.member = std::string(len, 'r');
+      c.entries.emplace_back(0xFFFFFFFFu, ~0ull);
+      const FieldByField ref = encode_ckpt_field_by_field(c);
+      const Bytes frame = encode_ckpt_delta(c);
+      ASSERT_EQ(frame, ref.frame) << "value_pad=" << pad << " member=" << len;
+      auto msg = decode_ctrl(ref.frame);
+      ASSERT_TRUE(msg.has_value()) << "value_pad=" << pad << " member=" << len;
+      EXPECT_EQ(*msg->ckpt_delta, c);
+      expect_every_truncation_rejected(frame);
+      // A pad inflated past the frame fails the block check, as an
+      // inflated count does.
+      Bytes wide = frame;
+      for (std::size_t i = 0; i < 4; ++i) wide[ref.pad_at + i] = 0xFF;
+      std::optional<CtrlMsg> out;
+      EXPECT_NO_THROW(out = decode_ctrl(wide));
+      EXPECT_FALSE(out.has_value()) << "value_pad=" << pad << " member=" << len;
+    }
   }
 }
 

@@ -95,6 +95,12 @@ std::vector<Bytes> ctrl_corpus() {
   d.value_pad = 4;
   for (std::uint32_t k = 0; k < 20; ++k) d.entries.emplace_back(k, k * 31ULL);
   c.push_back(core::encode_ckpt_delta(d));
+  // An odd pad: the first entry and the rest take different layouts.
+  d.member = "Svc/replica/12";
+  d.nonce = 9;
+  d.value_pad = 5;
+  d.entries = {{7, 0x0102030405060708ULL}, {8, 1}, {4096, ~0ULL}};
+  c.push_back(core::encode_ckpt_delta(d));
   return c;
 }
 

@@ -142,6 +142,53 @@ class ScaledDaemonTest : public GcDaemonTest {
   ScaledDaemonTest() : GcDaemonTest(PlaneOptions::scaled()) {}
 };
 
+class FiveDaemonTest : public GcWorld {
+ protected:
+  FiveDaemonTest() : GcWorld(5) {}
+};
+
+TEST_F(FiveDaemonTest, StampedFrameFansOutOnOneBuffer) {
+  // A client of the sequencer's daemon (node1) multicasts 100 KB to a group
+  // whose one member is on node2. Buffers that size come from the thread's
+  // buffer cache, warmed here so it never runs dry, so its hits count
+  // them: the client's kMcast frame, the stamper's kSubmit frame, which it
+  // restamps in place and shares with its four peers, and node2's kDeliver
+  // frame. A copy per peer would make seven.
+  constexpr std::size_t kPayload = 100'000;
+  auto member = make_client("node2", "m");
+  auto sender = make_client("node1", "s");
+  bool delivered = false;
+  const Bytes payload(kPayload, 0x5a);
+  auto listen = [](GcClient& gc, const Bytes& want, bool& ok) -> sim::Task<void> {
+    (void)co_await gc.join("big");
+    for (;;) {
+      auto ev = co_await gc.next_event(milliseconds(100));
+      if (!ev || !ev.value()) co_return;
+      if (ev.value()->kind == Event::Kind::kMessage) {
+        ok = want == ev.value()->payload;
+        co_return;
+      }
+    }
+  };
+  sim_.spawn(listen(*member.gc, payload, delivered));
+  sim_.run_for(milliseconds(10));
+  ASSERT_EQ(daemons_[0]->group_members("big"), std::vector<std::string>{"m"});
+  std::vector<void*> warm;
+  for (std::size_t i = 0; i < detail::BufferCache::kCap; ++i) {
+    warm.push_back(detail::BufferCache::allocate(kPayload));
+  }
+  for (void* p : warm) detail::BufferCache::deallocate(p, kPayload);
+  auto send = [](GcClient& gc, Bytes body) -> sim::Task<void> {
+    (void)co_await gc.multicast("big", std::move(body));
+  };
+  Bytes body = payload;
+  const std::uint64_t hits = detail::BufferCache::hits();
+  sim_.spawn(send(*sender.gc, std::move(body)));
+  sim_.run_for(milliseconds(50));
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(detail::BufferCache::hits() - hits, 3u);
+}
+
 TEST_F(GcDaemonTest, MeshComesUpAndElectsSequencer) {
   EXPECT_TRUE(daemons_[0]->is_sequencer());
   EXPECT_FALSE(daemons_[1]->is_sequencer());

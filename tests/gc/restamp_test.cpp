@@ -87,6 +87,35 @@ TEST(RestampGoldenTest, FrameRestampMatchesAndReverts) {
   EXPECT_EQ(f->wire(), submit_of(m));
 }
 
+TEST(RestampGoldenTest, RestampOfASharedFrameLeavesTheOtherHolder) {
+  const OrderedMsg m = message(5, 3, 12 * 1024, 91);
+  // The origin keeps its submission while a share of it reaches the
+  // stamper, uncopied, through the stamper's framer.
+  Frame pending(Op::kSubmit, submit_of(m));
+  LenFramer framer;
+  framer.feed(pending.share_wire());
+  auto f = framer.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->wire().data(), pending.wire().data());
+  f->restamp(Op::kOrdered, m.seq);
+  EXPECT_EQ(f->wire(), encode_ordered(m));
+  EXPECT_NE(f->wire().data(), pending.wire().data());
+  // The restamped frame's views follow its copy.
+  auto stamped = decode_ordered_like(f->payload);
+  ASSERT_TRUE(stamped.ok());
+  EXPECT_EQ(stamped->seq, m.seq);
+  EXPECT_TRUE(inside(stamped->payload.data(), f->wire()));
+  // The origin's kSubmit bytes are as it encoded them.
+  EXPECT_EQ(pending.wire(), submit_of(m));
+  EXPECT_EQ(decode_ordered_like(pending.payload)->seq, 0u);
+  // A stale stamp reverts the frame after it went out: the peers' shares
+  // keep the kOrdered bytes.
+  const Bytes sent = f->share_wire();
+  f->restamp(Op::kSubmit, 0);
+  EXPECT_EQ(f->wire(), submit_of(m));
+  EXPECT_EQ(sent, encode_ordered(m));
+}
+
 TEST(RestampGoldenTest, BatchedSubFramesRestampInPlace) {
   std::vector<OrderedMsg> msgs;
   std::vector<Bytes> frames;
