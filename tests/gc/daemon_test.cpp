@@ -135,6 +135,45 @@ class GcDaemonTest : public GcWorld {
     }
     EXPECT_EQ(got, want);
   }
+
+  /// The events the simulator runs for one multicast into a group with a
+  /// member on every node, from the node2 member's write until each daemon
+  /// has delivered it (the members do not read). Pinned exactly: a change
+  /// that adds or drops an event per frame on the daemon's write path
+  /// shows here, and one that keeps the event sequence does not. Also
+  /// returns how many frames the mesh sent batched meanwhile.
+  struct BroadcastCost {
+    std::uint64_t events = 0;
+    std::uint64_t batched_frames = 0;
+  };
+  BroadcastCost cost_of_one_broadcast() {
+    std::vector<ClientHandle> members;
+    for (const auto& host : hosts_) {
+      members.push_back(make_client(host, "pin/" + host));
+    }
+    auto join = [](GcClient& gc) -> sim::Task<void> {
+      (void)co_await gc.join("pin");
+    };
+    for (auto& m : members) sim_.spawn(join(*m.gc));
+    sim_.run_for(milliseconds(10));
+    EXPECT_EQ(daemons_[0]->group_members("pin").size(), hosts_.size());
+    std::vector<std::uint64_t> delivered;
+    for (const auto& d : daemons_) delivered.push_back(d->messages_delivered());
+    auto send = [](GcClient& gc) -> sim::Task<void> {
+      const Bytes body{'p'};
+      (void)co_await gc.multicast("pin", body);
+    };
+    obs::Counter& batched = sim_.obs().metrics().counter("gc.batch.frames");
+    const std::uint64_t batched_before = batched.value();
+    const std::uint64_t before = sim_.events_processed();
+    sim_.spawn(send(*members[1].gc));
+    sim_.run_for(milliseconds(5));
+    for (std::size_t i = 0; i < daemons_.size(); ++i) {
+      EXPECT_EQ(daemons_[i]->messages_delivered(), delivered[i] + 1)
+          << "daemon " << i;
+    }
+    return {sim_.events_processed() - before, batched.value() - batched_before};
+  }
 };
 
 class ScaledDaemonTest : public GcDaemonTest {
@@ -187,6 +226,27 @@ TEST_F(FiveDaemonTest, StampedFrameFansOutOnOneBuffer) {
   sim_.run_for(milliseconds(50));
   EXPECT_TRUE(delivered);
   EXPECT_EQ(detail::BufferCache::hits() - hits, 3u);
+}
+
+TEST_F(GcDaemonTest, OneStampedBroadcastRunsAPinnedEventCount) {
+  // The node2 daemon submits to the sequencer, which stamps and broadcasts
+  // to both peers; every daemon writes one kDeliver frame. 18 events: the
+  // sender's start; six daemon writes (one kSubmit, two kOrdered, three
+  // kDeliver), each one event that schedules its delivery; seven
+  // deliveries; three daemon reader wakes (no member reads).
+  const BroadcastCost cost = cost_of_one_broadcast();
+  EXPECT_EQ(cost.events, 18u);
+  EXPECT_EQ(cost.batched_frames, 0u);
+}
+
+TEST_F(ScaledDaemonTest, OneBatchedFlushRunsAPinnedEventCount) {
+  // As above, but each mesh write waits in its link's batch for the
+  // flush timer and leaves as one frame. Each of the three batched frames
+  // adds two events (arming the flush, then the flush timer) to the
+  // legacy count's shape.
+  const BroadcastCost cost = cost_of_one_broadcast();
+  EXPECT_EQ(cost.events, 24u);
+  EXPECT_EQ(cost.batched_frames, 3u);
 }
 
 TEST_F(GcDaemonTest, MeshComesUpAndElectsSequencer) {
