@@ -131,16 +131,20 @@ bool read_ckpt_entries(CdrReader& r, std::uint32_t count,
   return true;
 }
 
-/// One kCkptDelta frame from any source with the checkpoint fields
-/// (CkptDelta or state::Checkpoint), so neither path copies entries.
+/// Room for a kCkptDelta body: each entry takes at most 19 bytes (u32 +
+/// u64 with worst-case alignment) plus its pad.
 template <class C>
-Bytes encode_ckpt(const C& c, const std::string& member, std::uint64_t nonce,
-                  std::uint32_t value_pad) {
-  // Each entry takes at most 19 bytes (u32 + u64 with worst-case
-  // alignment) plus its pad.
-  CdrWriter w = ctrl_writer(
-      CtrlKind::kCkptDelta,
-      96 + member.size() + c.entries.size() * (19 + value_pad));
+std::size_t ckpt_body_hint(const C& c, const std::string& member,
+                           std::uint32_t value_pad) {
+  return 96 + member.size() + c.entries.size() * (19 + value_pad);
+}
+
+/// Writes one kCkptDelta body behind `w`'s kind byte from any source with
+/// the checkpoint fields (CkptDelta or state::Checkpoint), so neither path
+/// copies entries.
+template <class C>
+void write_ckpt(CdrWriter& w, const C& c, const std::string& member,
+                std::uint64_t nonce, std::uint32_t value_pad) {
   w.write_string(member);
   w.write_u64(nonce);
   w.write_u64(c.epoch);
@@ -152,6 +156,14 @@ Bytes encode_ckpt(const C& c, const std::string& member, std::uint64_t nonce,
   w.write_u32(value_pad);
   w.write_u32(static_cast<std::uint32_t>(c.entries.size()));
   write_ckpt_entries(w, c.entries, value_pad);
+}
+
+template <class C>
+Bytes encode_ckpt(const C& c, const std::string& member, std::uint64_t nonce,
+                  std::uint32_t value_pad) {
+  CdrWriter w = ctrl_writer(CtrlKind::kCkptDelta,
+                            ckpt_body_hint(c, member, value_pad));
+  write_ckpt(w, c, member, nonce, value_pad);
   return w.take();
 }
 
@@ -256,6 +268,19 @@ Bytes encode_ckpt_delta(const CkptDelta& m) {
 Bytes encode_ckpt_delta(const state::Checkpoint& c, const std::string& member,
                         std::uint64_t nonce, std::uint32_t value_pad) {
   return encode_ckpt(c, member, nonce, value_pad);
+}
+
+gc::McastFrame encode_ckpt_mcast(std::string_view group,
+                                 const state::Checkpoint& c,
+                                 const std::string& member,
+                                 std::uint64_t nonce,
+                                 std::uint32_t value_pad) {
+  gc::McastWriter out(group, 1 + ckpt_body_hint(c, member, value_pad));
+  CdrWriter& w = out.payload();
+  w.write_u8(static_cast<std::uint8_t>(CtrlKind::kCkptDelta));
+  w.begin_stream();
+  write_ckpt(w, c, member, nonce, value_pad);
+  return out.finish();
 }
 
 Bytes encode_ckpt_request(const CkptRequest& m) {

@@ -122,9 +122,9 @@ sim::Task<void> RecoveryManager::pump() {
       if (a.kind != RmAction::Kind::kRequestReadmit) continue;
       LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
           << "retired; requesting readmission snapshot";
-      proc_->sim().spawn(multicast_task(
+      gc_->post_soon(
           rm_group(),
-          encode_ckpt_request(CkptRequest{cfg_.member, a.nonce, 0})));
+          encode_ckpt_request(CkptRequest{cfg_.member, a.nonce, 0}));
     }
     if (core_.readmissions() > readmissions_seen_) {
       readmissions_seen_ = core_.readmissions();
@@ -172,9 +172,9 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         // The snapshot was frozen by the core at the request's position in
         // the total order; it travels as a kState frame whose version
         // echoes the requester's nonce.
-        proc_->sim().spawn(multicast_task(
+        gc_->post_soon(
             rm_group(), encode_state(StateTransfer{cfg_.member, a.nonce,
-                                                   a.snapshot})));
+                                                   a.snapshot}));
         break;
       case RmAction::Kind::kPublishReadSet: {
         if (!a.republish) {
@@ -185,18 +185,18 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
               static_cast<double>(a.read_set.entries.size()));
         }
         // Encode now (a later refresh must not mutate what this update
-        // carries) and multicast from a spawned task: callers sit inside
-        // the event pump. Every publication carries the full set, so a
-        // subscriber that missed one heals at the next. kQuorum sets
+        // carries) and multicast from a zero-delay event: callers sit
+        // inside the event pump. Every publication carries the full set,
+        // so a subscriber that missed one heals at the next. kQuorum sets
         // travel as kQuorumSet, which adds the catching_up flags.
         const bool quorum = std::any_of(
             cfg_.groups.begin(), cfg_.groups.end(), [&](const GroupTarget& t) {
               return t.service == a.service &&
                      t.style == ReplicationStyle::kQuorum;
             });
-        proc_->sim().spawn(multicast_task(
+        gc_->post_soon(
             a.group, quorum ? encode_quorum_set(a.read_set)
-                            : encode_read_set(a.read_set)));
+                            : encode_read_set(a.read_set));
         break;
       }
       case RmAction::Kind::kPlanMigration:
@@ -222,9 +222,9 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
           proc_->sim().obs().emit(obs::EventKind::kHandoff, cfg_.member,
                                   a.member + ">" + a.successor);
         }
-        proc_->sim().spawn(multicast_task(
+        gc_->post_soon(
             control_group(a.service),
-            encode_handoff(Handoff{a.service, a.member, a.successor})));
+            encode_handoff(Handoff{a.service, a.member, a.successor}));
         break;
       case RmAction::Kind::kPublishAliveEpoch:
         // The whole of the RM's per-failure placement traffic under
@@ -235,17 +235,17 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
           placement_frames_->add();
         }
         if (cfg_.self_supervise) {
-          proc_->sim().spawn(multicast_task(
-              rm_group(), encode_alive_epoch(a.alive)));
+          gc_->post_soon(
+              rm_group(), encode_alive_epoch(a.alive));
         }
         break;
       case RmAction::Kind::kRetireReplica:
         if (count && rebalance_moves_ != nullptr) rebalance_moves_->add();
         LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
             << "rebalance: retiring " << a.member << " of " << a.service;
-        proc_->sim().spawn(multicast_task(
+        gc_->post_soon(
             control_group(a.service), encode_retire(Retire{a.service,
-                                                           a.member})));
+                                                           a.member}));
         break;
     }
   }
@@ -289,15 +289,10 @@ sim::Task<void> RecoveryManager::launch_task(std::string service,
       auto actions = core_.on_launch_failed(service, incarnation);
       execute(actions, /*count=*/true);
     } else {
-      proc_->sim().spawn(multicast_task(
-          rm_group(), encode_launch_failed(LaunchFailed{service, incarnation})));
+      gc_->post_soon(
+          rm_group(), encode_launch_failed(LaunchFailed{service, incarnation}));
     }
   }
-}
-
-sim::Task<void> RecoveryManager::multicast_task(std::string group_name,
-                                                Bytes payload) {
-  (void)co_await gc_->multicast(std::move(group_name), std::move(payload));
 }
 
 void RecoveryManager::on_join_observed(const std::string& host) {
@@ -307,8 +302,7 @@ void RecoveryManager::on_join_observed(const std::string& host) {
     execute(actions, /*count=*/true);
     return;
   }
-  proc_->sim().spawn(
-      multicast_task(rm_group(), encode_node_join(NodeJoin{host})));
+  gc_->post_soon(rm_group(), encode_node_join(NodeJoin{host}));
 }
 
 void RecoveryManager::on_crash_observed(const std::string& host) {
@@ -321,8 +315,7 @@ void RecoveryManager::on_crash_observed(const std::string& host) {
   // Replicated: loop the observation through the ordered stream. Every
   // replica reports what it sees — the application is idempotent, and the
   // frame must survive any single manager's death.
-  proc_->sim().spawn(
-      multicast_task(rm_group(), encode_node_crash(NodeCrash{host})));
+  gc_->post_soon(rm_group(), encode_node_crash(NodeCrash{host}));
 }
 
 }  // namespace mead::core

@@ -151,7 +151,6 @@ class RecoveryManager {
   void execute(const std::vector<RmAction>& actions, bool count);
   sim::Task<void> launch_task(std::string service, int incarnation,
                               std::string host, bool proactive, bool count);
-  sim::Task<void> multicast_task(std::string group_name, Bytes payload);
   void on_crash_observed(const std::string& host);
 
   net::ProcessPtr proc_;

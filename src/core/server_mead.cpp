@@ -261,10 +261,6 @@ void ServerMead::handle_handoff(const Handoff& h) {
   proc_->sim().spawn(rejuvenate_after_drain());
 }
 
-sim::Task<void> ServerMead::multicast_task(std::string group, Bytes payload) {
-  (void)co_await gc_->multicast(std::move(group), std::move(payload));
-}
-
 sim::Task<void> ServerMead::usage_report_loop() {
   for (;;) {
     const bool alive = co_await proc_->sleep(cfg_.migration.report_interval);
@@ -390,12 +386,13 @@ sim::Task<void> ServerMead::push_checkpoint() {
   msg_log_->truncate_through(c.applied);
   ++stats_.ckpt_taken;
   ckpt_deltas_->add();
-  Bytes frame = encode_ckpt_delta(c, cfg_.member, 0, cfg_.state.value_pad);
-  ckpt_bytes_->add(frame.size());
+  gc::McastFrame frame = encode_ckpt_mcast(ckpt_group(cfg_.service), c,
+                                           cfg_.member, 0, cfg_.state.value_pad);
+  ckpt_bytes_->add(frame.payload_size);
   proc_->sim().obs().emit(obs::EventKind::kCkptTaken, cfg_.member,
                           c.is_base ? "base" : "delta",
                           static_cast<double>(c.epoch));
-  (void)co_await gc_->multicast(ckpt_group(cfg_.service), std::move(frame));
+  (void)gc_->post_frame(std::move(frame.wire));
   if (cfg_.state.dedup_cap > 0 && !dedup_fifo_.empty()) {
     // The reply cache truncates with the checkpoint cycle: whatever the
     // FIFO holds now is exactly what a successor needs to keep suppressing.
@@ -437,9 +434,9 @@ void ServerMead::finish_restore(bool restored, double ops) {
   if (cfg_.style == ReplicationStyle::kQuorum) {
     // We announced before restoring (serving writes, excluded from reads);
     // the ordered kCatchupDone readmits us to the read quorum.
-    proc_->sim().spawn(multicast_task(
+    gc_->post_soon(
         ckpt_group(cfg_.service),
-        encode_catchup_done(CatchupDone{cfg_.service, cfg_.member})));
+        encode_catchup_done(CatchupDone{cfg_.service, cfg_.member}));
   }
 }
 
@@ -466,17 +463,13 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
   LogLine(proc_->sim().log(), LogLevel::kDebug, "mead")
       << cfg_.member << " answering restore for " << requester;
   if (!ckpt_store_->has_base()) co_await push_checkpoint();
-  // Encode the whole chain before the first multicast: the store may
-  // rebase underneath the co_awaits.
-  std::vector<Bytes> frames;
-  frames.reserve(ckpt_store_->chain().size());
+  // Posting never suspends, so the store cannot rebase under this walk.
+  const std::string group = ckpt_group(cfg_.service);
   for (const auto& c : ckpt_store_->chain()) {
-    frames.push_back(
-        encode_ckpt_delta(c, cfg_.member, nonce, cfg_.state.value_pad));
-  }
-  for (Bytes& frame : frames) {
-    ckpt_bytes_->add(frame.size());
-    (void)co_await gc_->multicast(ckpt_group(cfg_.service), std::move(frame));
+    gc::McastFrame frame = encode_ckpt_mcast(group, c, cfg_.member, nonce,
+                                             cfg_.state.value_pad);
+    ckpt_bytes_->add(frame.payload_size);
+    (void)gc_->post_frame(std::move(frame.wire));
   }
   if (cfg_.state.dedup_cap > 0 && !dedup_fifo_.empty()) {
     (void)co_await gc_->multicast(ckpt_group(cfg_.service),

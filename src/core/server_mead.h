@@ -146,7 +146,6 @@ class ServerMead final : public net::SocketApi {
   sim::Task<void> rejuvenate_after_drain();
   sim::Task<void> gc_pump();
   sim::Task<void> state_sync_loop();
-  sim::Task<void> multicast_task(std::string group, Bytes payload);
   /// Primary's usage telemetry for the RM's migration planner (only
   /// spawned when cfg.migration.enabled()).
   sim::Task<void> usage_report_loop();

@@ -38,10 +38,24 @@ sim::Task<bool> GcClient::leave(std::string group) {
 }
 
 sim::Task<bool> GcClient::multicast(std::string group, Bytes payload) {
-  if (fd_ < 0) co_return false;
-  auto w = co_await proc_.api().writev(
-      fd_, encode_mcast(McastMsg{std::move(group), std::move(payload)}));
-  co_return w.ok();
+  co_return post(std::move(group), std::move(payload));
+}
+
+bool GcClient::post(std::string group, Bytes payload) {
+  if (fd_ < 0) return false;
+  return post_frame(encode_mcast(McastMsg{std::move(group), std::move(payload)}));
+}
+
+bool GcClient::post_frame(Bytes frame) {
+  if (fd_ < 0) return false;
+  return proc_.api().send(fd_, std::move(frame)).ok();
+}
+
+void GcClient::post_soon(std::string group, Bytes payload) {
+  proc_.sim().schedule(Duration{0}, [this, g = std::move(group),
+                                     p = std::move(payload)]() mutable {
+    (void)post(std::move(g), std::move(p));
+  });
 }
 
 sim::Task<bool> GcClient::send_to(const std::string& member, Bytes payload) {

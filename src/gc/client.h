@@ -37,6 +37,15 @@ class GcClient {
   [[nodiscard]] sim::Task<bool> leave(std::string group);
   [[nodiscard]] sim::Task<bool> multicast(std::string group, Bytes payload);
 
+  /// multicast()'s whole body: the write never suspends, so a caller that
+  /// needs no coroutine makes it directly.
+  bool post(std::string group, Bytes payload);
+  /// Writes `frame`, a finished kMcast frame (McastWriter), now.
+  bool post_frame(Bytes frame);
+  /// post() as a zero-delay event of its own: for a caller inside an event
+  /// handler whose write must queue behind the events already scheduled.
+  void post_soon(std::string group, Bytes payload);
+
   /// Point-to-point over multicast: sends to the member's reply group.
   [[nodiscard]] sim::Task<bool> send_to(const std::string& member, Bytes payload);
 

@@ -293,17 +293,17 @@ sim::Task<void> GcDaemon::heartbeat_loop() {
   }
 }
 
-void GcDaemon::spawn_write(int fd, Bytes data) {
+void GcDaemon::post_write(int fd, Bytes data) {
   frames_.add();
-  auto writer = [](net::Process& p, int wfd, Bytes d) -> sim::Task<void> {
-    (void)co_await p.api().writev(wfd, std::move(d));
-  };
-  proc_->sim().spawn(writer(*proc_, fd, std::move(data)));
+  proc_->sim().schedule(Duration{0}, [api = &proc_->api(), fd,
+                                      d = std::move(data)]() mutable {
+    (void)api->send(fd, std::move(d));
+  });
 }
 
 void GcDaemon::mesh_send(int fd, Frame& f) {
   if (cfg_.plane.sharded) return batch_append(fd, f.wire());
-  spawn_write(fd, f.share_wire());
+  post_write(fd, f.share_wire());
 }
 
 void GcDaemon::batch_append(int fd, ByteView frame) {
@@ -316,7 +316,7 @@ void GcDaemon::batch_append(int fd, ByteView frame) {
   }
   if (!b.flush_armed) {
     b.flush_armed = true;
-    proc_->sim().spawn(batch_flush_task(fd, b.epoch));
+    arm_batch_flush(fd, b.epoch);
   }
 }
 
@@ -324,7 +324,7 @@ void GcDaemon::direct_send(int fd, Bytes data) {
   // Flush the fd's pending batch first so control frames never overtake
   // the ordered traffic batched ahead of them (per-link FIFO).
   if (cfg_.plane.sharded) flush_batch(fd);
-  spawn_write(fd, std::move(data));
+  post_write(fd, std::move(data));
 }
 
 void GcDaemon::direct_broadcast(Bytes wire, int skip_fd) {
@@ -354,15 +354,20 @@ void GcDaemon::flush_batch(int fd) {
   b.frames = 0;
   ++b.epoch;
   b.flush_armed = false;
-  spawn_write(fd, std::move(out));
+  post_write(fd, std::move(out));
 }
 
-sim::Task<void> GcDaemon::batch_flush_task(int fd, std::uint64_t epoch) {
-  const bool alive = co_await proc_->sleep(kBatchFlush);
-  if (!alive) co_return;
-  const Batch* b = batches_.find(fd);
-  if (b == nullptr || b->epoch != epoch) co_return;
-  flush_batch(fd);
+void GcDaemon::arm_batch_flush(int fd, std::uint64_t epoch) {
+  // A zero-delay hop, then the δt timer: the event pair a spawned
+  // sleep-then-flush coroutine would queue, at the same sequence numbers.
+  proc_->sim().schedule(Duration{0}, [this, fd, epoch] {
+    proc_->sim().schedule(kBatchFlush, [this, fd, epoch] {
+      if (!proc_->alive()) return;
+      const Batch* b = batches_.find(fd);
+      if (b == nullptr || b->epoch != epoch) return;
+      flush_batch(fd);
+    });
+  });
 }
 
 sim::Task<void> GcDaemon::connection_loop(int fd) {
@@ -683,11 +688,11 @@ void GcDaemon::write_to_local(const GroupSlot& g, Encode encode) {
     if (last_fd < 0) {
       wire = encode();
     } else {
-      spawn_write(last_fd, wire.share());
+      post_write(last_fd, wire.share());
     }
     last_fd = fd->second;
   }
-  if (last_fd >= 0) spawn_write(last_fd, std::move(wire));
+  if (last_fd >= 0) post_write(last_fd, std::move(wire));
 }
 
 bool GcDaemon::handle_ordered(const OrderedView& m, GroupSlot& s) {

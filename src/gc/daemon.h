@@ -259,7 +259,9 @@ class GcDaemon {
   /// connected, encoding only if one exists; the writes share one buffer.
   template <typename Encode>
   void write_to_local(const GroupSlot& g, Encode encode);
-  void spawn_write(int fd, Bytes data);
+  /// Writes `data` to `fd` as one zero-delay event (the write never
+  /// suspends, so it needs no coroutine).
+  void post_write(int fd, Bytes data);
   /// Mesh write of `f`: on the legacy plane a buffer sharing f's block, on
   /// the scaled plane a copy coalesced into the fd's pending FrameBatch.
   void mesh_send(int fd, Frame& f);
@@ -271,7 +273,9 @@ class GcDaemon {
   /// all on `wire`'s one buffer.
   void direct_broadcast(Bytes wire, int skip_fd = -1);
   void flush_batch(int fd);
-  sim::Task<void> batch_flush_task(int fd, std::uint64_t epoch);
+  /// Flushes the fd's batch kBatchFlush from now unless a flush moved its
+  /// epoch past `epoch` first.
+  void arm_batch_flush(int fd, std::uint64_t epoch);
   [[nodiscard]] std::uint64_t sequencer_id() const;
   /// The daemon that stamps `group`: the global sequencer on the legacy
   /// plane, or FNV-1a(group) over the alive set on the scaled plane.

@@ -22,14 +22,18 @@ CdrWriter frame_writer(Op op, std::size_t body_hint = 32) {
   return w;
 }
 
+void put_le32(std::uint8_t* p, std::size_t n) {
+  const auto v = static_cast<std::uint32_t>(n);
+  p[0] = static_cast<std::uint8_t>(v & 0xFF);
+  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
+  p[2] = static_cast<std::uint8_t>((v >> 16) & 0xFF);
+  p[3] = static_cast<std::uint8_t>((v >> 24) & 0xFF);
+}
+
 /// Takes the frame out of `w` and fills in its little-endian length.
 Bytes finish_frame(CdrWriter& w) {
   Bytes out = w.take();
-  const auto len = static_cast<std::uint32_t>(out.size() - 4);
-  out[0] = static_cast<std::uint8_t>(len & 0xFF);
-  out[1] = static_cast<std::uint8_t>((len >> 8) & 0xFF);
-  out[2] = static_cast<std::uint8_t>((len >> 16) & 0xFF);
-  out[3] = static_cast<std::uint8_t>((len >> 24) & 0xFF);
+  put_le32(out.data(), out.size() - 4);
   return out;
 }
 
@@ -82,6 +86,21 @@ Bytes encode_mcast(const McastMsg& m) {
   w.write_string(m.group);
   w.write_octet_seq(m.payload);
   return finish_frame(w);
+}
+
+McastWriter::McastWriter(std::string_view group, std::size_t payload_hint)
+    : w_(frame_writer(Op::kMcast, 16 + group.size() + payload_hint)) {
+  w_.write_string(group);
+  w_.write_u32(0);  // the payload's length, patched by finish()
+  payload_at_ = w_.size();
+  w_.begin_stream();
+}
+
+McastFrame McastWriter::finish() {
+  const std::size_t n = w_.size() - payload_at_;
+  Bytes out = finish_frame(w_);
+  put_le32(out.data() + payload_at_ - 4, n);
+  return McastFrame{std::move(out), n};
 }
 
 namespace {

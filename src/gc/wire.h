@@ -237,6 +237,32 @@ Bytes encode_hello(const HelloMsg& m);
 Bytes encode_join(const GroupMsg& m);
 Bytes encode_leave(const GroupMsg& m);
 Bytes encode_mcast(const McastMsg& m);
+
+/// A finished kMcast frame and the size of the payload it carries.
+struct McastFrame {
+  Bytes wire;
+  std::size_t payload_size = 0;
+};
+
+/// Encodes a kMcast frame with its payload written in place behind the
+/// header, so a bulky payload (a checkpoint) is written once rather than
+/// encoded on its own and copied into encode_mcast's frame. The result is
+/// byte-identical to encode_mcast(McastMsg{group, payload}).
+class McastWriter {
+ public:
+  /// `payload_hint` sizes the buffer up front.
+  McastWriter(std::string_view group, std::size_t payload_hint);
+  /// The payload's writer: its CDR stream starts at the payload's first
+  /// byte.
+  [[nodiscard]] giop::CdrWriter& payload() { return w_; }
+  /// Fills in the payload and frame lengths and takes the frame.
+  [[nodiscard]] McastFrame finish();
+
+ private:
+  giop::CdrWriter w_;
+  std::size_t payload_at_ = 0;
+};
+
 Bytes encode_deliver(const DeliverMsg& m);
 /// The kDeliver frame of a stamped message, encoded straight from it:
 /// the same bytes as encode_deliver(DeliverMsg{group, member, seq, payload}).

@@ -28,7 +28,9 @@ void WaitSet::wake_all(sim::Simulator& sim) {
   for (auto& [w, epoch] : waiters_) {
     if (w->done || w->epoch != epoch) continue;
     w->done = true;
-    sim.schedule(Duration{0}, [w] { w->handle.resume(); });
+    // The suspended frame holds its waiter until it resumes, so the wake
+    // needs only the handle.
+    sim.schedule(Duration{0}, [h = w->handle] { h.resume(); });
   }
   waiters_.clear();
 }
@@ -44,7 +46,7 @@ Process::Process(Network& net, ProcessId id, NodeId node, std::string host,
   api_ = std::make_unique<ProcessSocketApi>(*this);
 }
 
-SocketApi& Process::api() { return *api_; }
+ProcessSocketApi& Process::api() { return *api_; }
 
 sim::Simulator& Process::sim() const { return net_.sim(); }
 
@@ -452,21 +454,21 @@ sim::Task<Result<Bytes>> ProcessSocketApi::read(int fd, std::size_t max_bytes,
   }
 }
 
-sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
-  if (!proc_.alive()) co_return make_unexpected(NetErr::kProcessDead);
+Result<std::size_t> ProcessSocketApi::send(int fd, Bytes data) {
+  if (!proc_.alive()) return make_unexpected(NetErr::kProcessDead);
   auto* entry = proc_.fds_.find(fd);
-  if (entry == nullptr) co_return make_unexpected(NetErr::kBadFd);
+  if (entry == nullptr) return make_unexpected(NetErr::kBadFd);
   auto* ref = std::get_if<detail::ConnRef>(entry);
-  if (ref == nullptr) co_return make_unexpected(NetErr::kNotListener);
+  if (ref == nullptr) return make_unexpected(NetErr::kNotListener);
   detail::ConnEnd& end = ref->end();
-  if (end.local_closed) co_return make_unexpected(NetErr::kClosed);
+  if (end.local_closed) return make_unexpected(NetErr::kClosed);
   detail::ConnEnd& peer = ref->peer();
   if (peer.local_closed) {
     // TCP semantics: a write onto a connection whose peer has gone succeeds
     // locally (the data is buffered/dropped; the RST arrives later). The
     // failure surfaces at the next read as EOF — which is exactly where the
     // paper's client-side interceptor detects abrupt server failure (§4.2).
-    co_return data.size();
+    return data.size();
   }
 
   const std::size_t n = data.size();
@@ -475,7 +477,7 @@ sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
     // Message-loss fault: the bytes vanish on the wire. The writer cannot
     // tell (TCP would buffer/retransmit); the reader simply never sees them.
     net().note_drop();
-    co_return n;
+    return n;
   }
   auto conn = ref->conn;
   const int peer_side = 1 - ref->side;
@@ -497,7 +499,11 @@ sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
   // Every write schedules one delivery: keep it off the heap.
   static_assert(sim::EventFn::fits_inline<decltype(deliver)>());
   sim().schedule(arrival - sim().now(), std::move(deliver));
-  co_return n;
+  return n;
+}
+
+sim::Task<Result<std::size_t>> ProcessSocketApi::writev(int fd, Bytes data) {
+  co_return send(fd, std::move(data));
 }
 
 sim::Task<Result<std::vector<int>>> ProcessSocketApi::select(

@@ -176,7 +176,7 @@ class Process : public std::enable_shared_from_this<Process> {
   [[nodiscard]] bool alive() const { return alive_; }
 
   /// The raw (un-intercepted) socket API bound to this process.
-  [[nodiscard]] SocketApi& api();
+  [[nodiscard]] ProcessSocketApi& api();
 
   [[nodiscard]] sim::Simulator& sim() const;
 
@@ -356,11 +356,17 @@ class ProcessSocketApi final : public SocketApi {
   Result<int> listen(std::uint16_t port) override;
   sim::Task<Result<int>> accept(int listen_fd) override;
   sim::Task<Result<int>> connect(const Endpoint& remote) override;
-  sim::Task<Result<Bytes>> read(int fd, std::size_t max_bytes,
-                                std::optional<Duration> timeout) override;
+  // The defaults repeat SocketApi's, for callers holding this type.
+  sim::Task<Result<Bytes>> read(
+      int fd, std::size_t max_bytes,
+      std::optional<Duration> timeout = std::nullopt) override;
   sim::Task<Result<std::size_t>> writev(int fd, Bytes data) override;
+  /// writev's whole body, which never suspends: schedules the delivery of
+  /// `data` and returns its size, or the error writev would yield.
+  Result<std::size_t> send(int fd, Bytes data);
   sim::Task<Result<std::vector<int>>> select(
-      std::vector<int> fds, std::optional<Duration> timeout) override;
+      std::vector<int> fds,
+      std::optional<Duration> timeout = std::nullopt) override;
   Result<void> close(int fd) override;
   Result<void> dup2(int from_fd, int to_fd) override;
   Result<Endpoint> local_endpoint(int fd) const override;

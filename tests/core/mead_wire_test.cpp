@@ -436,6 +436,26 @@ TEST(WireGoldenTest, CkptFromCheckpointMatchesCkptDeltaBytes) {
   }
 }
 
+TEST(WireGoldenTest, CkptMcastMatchesMcastOverCkptDelta) {
+  // Group names of every length mod 4, so the payload's length field
+  // behind the name lands after every amount of padding.
+  for (const std::uint32_t pad : {0u, 3u, 32u}) {
+    const CkptDelta d = golden_ckpt(pad);
+    const state::Checkpoint c{.epoch = d.epoch, .base_epoch = d.base_epoch,
+                              .is_base = d.is_base, .applied = d.applied,
+                              .prev_digest = d.prev_digest, .digest = d.digest,
+                              .entries = d.entries};
+    const Bytes payload = encode_ckpt_delta(d);
+    for (const std::string group : {"", "c", "ck", "ckp", "ckpt/svc"}) {
+      const gc::McastFrame frame =
+          encode_ckpt_mcast(group, c, d.member, d.nonce, pad);
+      EXPECT_EQ(frame.wire, gc::encode_mcast(gc::McastMsg{group, payload}))
+          << "value_pad=" << pad << " group=" << group;
+      EXPECT_EQ(frame.payload_size, payload.size());
+    }
+  }
+}
+
 TEST(WireGoldenTest, LogReplayBytes) {
   const Bytes frame = encode_log_replay(golden_log_replay());
   EXPECT_EQ(frame, from_hex("0d0a0000007265706c6963612f310000006300000000000000c2010000000000"

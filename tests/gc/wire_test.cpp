@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace mead::gc {
 namespace {
 
@@ -39,6 +41,26 @@ TEST(GcWireTest, McastRoundTrip) {
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->group, "g");
   EXPECT_EQ(m->payload, payload);
+}
+
+TEST(GcWireTest, McastWriterMatchesEncodeMcast) {
+  // A payload written in place with its own aligned fields: a u8, then a
+  // u64 whose padding counts from the payload's first byte.
+  Bytes payload;
+  {
+    giop::CdrWriter w;
+    w.write_u8(5);
+    w.write_u64(0x0102030405060708ull);
+    payload = w.take();
+  }
+  for (const std::string group : {"", "g", "g2", "g-3", "group"}) {
+    McastWriter out(group, payload.size());
+    out.payload().write_u8(5);
+    out.payload().write_u64(0x0102030405060708ull);
+    const McastFrame frame = out.finish();
+    EXPECT_EQ(frame.wire, encode_mcast(McastMsg{group, payload})) << group;
+    EXPECT_EQ(frame.payload_size, payload.size());
+  }
 }
 
 TEST(GcWireTest, DeliverRoundTrip) {
