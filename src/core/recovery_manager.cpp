@@ -122,9 +122,8 @@ sim::Task<void> RecoveryManager::pump() {
       if (a.kind != RmAction::Kind::kRequestReadmit) continue;
       LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
           << "retired; requesting readmission snapshot";
-      gc_->post_soon(
-          rm_group(),
-          encode_ckpt_request(CkptRequest{cfg_.member, a.nonce, 0}));
+      gc_->post_soon(rm_group(),
+                     encode_ckpt_request(CkptRequest{cfg_.member, a.nonce, 0}));
     }
     if (core_.readmissions() > readmissions_seen_) {
       readmissions_seen_ = core_.readmissions();
@@ -172,9 +171,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
         // The snapshot was frozen by the core at the request's position in
         // the total order; it travels as a kState frame whose version
         // echoes the requester's nonce.
-        gc_->post_soon(
-            rm_group(), encode_state(StateTransfer{cfg_.member, a.nonce,
-                                                   a.snapshot}));
+        gc_->post_soon(rm_group(), encode_state(StateTransfer{
+                                       cfg_.member, a.nonce, a.snapshot}));
         break;
       case RmAction::Kind::kPublishReadSet: {
         if (!a.republish) {
@@ -194,9 +192,8 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
               return t.service == a.service &&
                      t.style == ReplicationStyle::kQuorum;
             });
-        gc_->post_soon(
-            a.group, quorum ? encode_quorum_set(a.read_set)
-                            : encode_read_set(a.read_set));
+        gc_->post_soon(a.group, quorum ? encode_quorum_set(a.read_set)
+                                       : encode_read_set(a.read_set));
         break;
       }
       case RmAction::Kind::kPlanMigration:
@@ -235,17 +232,15 @@ void RecoveryManager::execute(const std::vector<RmAction>& actions,
           placement_frames_->add();
         }
         if (cfg_.self_supervise) {
-          gc_->post_soon(
-              rm_group(), encode_alive_epoch(a.alive));
+          gc_->post_soon(rm_group(), encode_alive_epoch(a.alive));
         }
         break;
       case RmAction::Kind::kRetireReplica:
         if (count && rebalance_moves_ != nullptr) rebalance_moves_->add();
         LogLine(proc_->sim().log(), LogLevel::kInfo, "rm")
             << "rebalance: retiring " << a.member << " of " << a.service;
-        gc_->post_soon(
-            control_group(a.service), encode_retire(Retire{a.service,
-                                                           a.member}));
+        gc_->post_soon(control_group(a.service),
+                       encode_retire(Retire{a.service, a.member}));
         break;
     }
   }
@@ -289,8 +284,8 @@ sim::Task<void> RecoveryManager::launch_task(std::string service,
       auto actions = core_.on_launch_failed(service, incarnation);
       execute(actions, /*count=*/true);
     } else {
-      gc_->post_soon(
-          rm_group(), encode_launch_failed(LaunchFailed{service, incarnation}));
+      gc_->post_soon(rm_group(),
+                     encode_launch_failed(LaunchFailed{service, incarnation}));
     }
   }
 }

@@ -256,7 +256,7 @@ void ServerMead::handle_handoff(const Handoff& h) {
   if (app_state_ && !restoring_ && registry_.is_first(cfg_.member)) {
     // Transfer the log tail: a final checkpoint (with the reply cache
     // riding along) lands before the successor takes over as primary.
-    proc_->sim().spawn(push_checkpoint());
+    push_checkpoint_soon();
   }
   proc_->sim().spawn(rejuvenate_after_drain());
 }
@@ -373,13 +373,12 @@ sim::Task<void> ServerMead::checkpoint_loop() {
         app_state_->applied() == ckpt_store_->applied()) {
       continue;  // no new ops since the last checkpoint
     }
-    co_await push_checkpoint();
+    push_checkpoint();
   }
 }
 
-sim::Task<void> ServerMead::push_checkpoint() {
-  if (app_state_ == nullptr || restoring_ || ckpt_push_pending_) co_return;
-  ckpt_push_pending_ = true;
+void ServerMead::push_checkpoint() {
+  if (app_state_ == nullptr || restoring_) return;
   const state::Checkpoint& c = ckpt_store_->take(*app_state_);
   // Truncation contract: the log only ever covers ops newer than the
   // latest checkpoint.
@@ -396,10 +395,12 @@ sim::Task<void> ServerMead::push_checkpoint() {
   if (cfg_.state.dedup_cap > 0 && !dedup_fifo_.empty()) {
     // The reply cache truncates with the checkpoint cycle: whatever the
     // FIFO holds now is exactly what a successor needs to keep suppressing.
-    (void)co_await gc_->multicast(ckpt_group(cfg_.service),
-                                  reply_cache_wire(0));
+    (void)gc_->post(ckpt_group(cfg_.service), reply_cache_wire(0));
   }
-  ckpt_push_pending_ = false;
+}
+
+void ServerMead::push_checkpoint_soon() {
+  proc_->sim().schedule(Duration{0}, [this] { push_checkpoint(); });
 }
 
 sim::Task<void> ServerMead::restore_watchdog() {
@@ -434,9 +435,8 @@ void ServerMead::finish_restore(bool restored, double ops) {
   if (cfg_.style == ReplicationStyle::kQuorum) {
     // We announced before restoring (serving writes, excluded from reads);
     // the ordered kCatchupDone readmits us to the read quorum.
-    gc_->post_soon(
-        ckpt_group(cfg_.service),
-        encode_catchup_done(CatchupDone{cfg_.service, cfg_.member}));
+    gc_->post_soon(ckpt_group(cfg_.service),
+                   encode_catchup_done(CatchupDone{cfg_.service, cfg_.member}));
   }
 }
 
@@ -462,7 +462,7 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
   if (app_state_ == nullptr) co_return;
   LogLine(proc_->sim().log(), LogLevel::kDebug, "mead")
       << cfg_.member << " answering restore for " << requester;
-  if (!ckpt_store_->has_base()) co_await push_checkpoint();
+  if (!ckpt_store_->has_base()) push_checkpoint();
   // Posting never suspends, so the store cannot rebase under this walk.
   const std::string group = ckpt_group(cfg_.service);
   for (const auto& c : ckpt_store_->chain()) {
@@ -784,7 +784,7 @@ sim::Task<net::Result<std::size_t>> ServerMead::writev(int fd, Bytes data) {
       // Every served reply mutates the keyed accumulator; the log covers
       // the suffix since the last checkpoint and bounds it via log_cap.
       msg_log_->append(app_state_->apply_next());
-      if (msg_log_->full()) proc_->sim().spawn(push_checkpoint());
+      if (msg_log_->full()) push_checkpoint_soon();
     }
   }
   ++stats_.replies_passed;

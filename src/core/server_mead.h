@@ -159,7 +159,11 @@ class ServerMead final : public net::SocketApi {
   [[nodiscard]] Bytes reply_cache_wire(std::uint64_t nonce) const;
   // ---- stateful-service recovery pipeline ----
   sim::Task<void> checkpoint_loop();
-  sim::Task<void> push_checkpoint();
+  /// Takes a checkpoint and multicasts it (with the reply cache); never
+  /// suspends.
+  void push_checkpoint();
+  /// push_checkpoint() as a zero-delay event, for callers mid-event.
+  void push_checkpoint_soon();
   sim::Task<void> restore_watchdog();
   /// Answers a directed restore (announced primary only): the checkpoint
   /// chain, then the closing LogReplay.
@@ -225,7 +229,6 @@ class ServerMead final : public net::SocketApi {
   std::unique_ptr<state::MessageLog> msg_log_;
   bool restoring_ = false;
   bool restore_base_seen_ = false;
-  bool ckpt_push_pending_ = false;
   std::uint64_t await_nonce_ = 0;  // directed restore/resync in flight
   TimePoint restore_begin_;
   std::uint64_t next_nonce_ = 0;
