@@ -63,12 +63,6 @@ std::string ServiceGroupSpec::member_name(int incarnation) const {
   return service + "/" + suffix;
 }
 
-std::string ServiceGroupSpec::client_member_name(int client_index) const {
-  const std::string suffix = "client/" + std::to_string(client_index);
-  if (service == kServiceName) return suffix;
-  return service + "/" + suffix;
-}
-
 ServiceGroup::ServiceGroup(net::Network& net, ServiceGroupSpec spec,
                            std::string naming_host, const Calibration& calib)
     : net_(net), spec_(std::move(spec)), naming_host_(std::move(naming_host)),
@@ -121,13 +115,6 @@ std::size_t ServiceGroup::live_replica_count() const {
 
 std::size_t ServiceGroup::replica_deaths() const {
   return replicas_.size() - live_replica_count();
-}
-
-bool ServiceGroup::all_registered() const {
-  for (const auto& r : replicas_) {
-    if (r->alive() && !r->registered()) return false;
-  }
-  return true;
 }
 
 }  // namespace mead::app

@@ -121,8 +121,6 @@ struct ServiceGroupSpec {
   /// every other group is service-qualified, keeping member names unique
   /// across groups even when their incarnation numbers coincide.
   [[nodiscard]] std::string member_name(int incarnation) const;
-  /// Matching client-side naming, e.g. "client/1" / "<service>/client/1".
-  [[nodiscard]] std::string client_member_name(int client_index) const;
 };
 
 /// One replicated service at runtime: owns every replica incarnation ever
@@ -151,8 +149,6 @@ class ServiceGroup {
   }
   [[nodiscard]] std::size_t live_replica_count() const;
   [[nodiscard]] std::size_t replica_deaths() const;
-  /// True once every live replica has bound itself in the Naming Service.
-  [[nodiscard]] bool all_registered() const;
 
  private:
   net::Network& net_;

@@ -173,13 +173,6 @@ struct ExperimentResult {
   [[nodiscard]] double gc_bandwidth_bps() const {
     return duration_s > 0 ? static_cast<double>(gc_bytes) / duration_s : 0;
   }
-  /// Table 1 "Client Failures (%)": client-visible exceptions per
-  /// server-side failure.
-  [[nodiscard]] double client_failure_pct() const {
-    if (server_failures == 0) return 0;
-    return 100.0 * static_cast<double>(client.total_exceptions()) /
-           static_cast<double>(server_failures);
-  }
   /// Invocations completed across every measurement client (group clients
   /// and striped clients alike).
   [[nodiscard]] std::uint64_t total_invocations() const {

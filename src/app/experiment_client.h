@@ -139,7 +139,6 @@ class ExperimentClient {
   [[nodiscard]] const core::ReadSetSubscriber* read_set() const {
     return targets_.empty() ? nullptr : targets_.front().read_set.get();
   }
-  [[nodiscard]] std::size_t target_count() const { return targets_.size(); }
   /// Process name / obs actor ("client", "<svc>/client", "stripe/client").
   [[nodiscard]] const std::string& actor_label() const { return label_; }
   /// Metrics namespace ("client", "client.<svc>", "client.<svc>.<k>").

@@ -31,12 +31,6 @@ enum class RecoveryScheme {
   return "?";
 }
 
-[[nodiscard]] constexpr bool is_proactive(RecoveryScheme s) {
-  return s == RecoveryScheme::kNeedsAddressing ||
-         s == RecoveryScheme::kLocationForward ||
-         s == RecoveryScheme::kMeadMessage;
-}
-
 /// How a group's live replicas share client traffic.
 enum class ReplicationStyle : std::uint8_t {
   kWarmPassive,      // the paper's model: one serving primary, warm backups

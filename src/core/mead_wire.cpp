@@ -272,8 +272,7 @@ Bytes encode_ckpt_delta(const state::Checkpoint& c, const std::string& member,
 
 gc::McastFrame encode_ckpt_mcast(std::string_view group,
                                  const state::Checkpoint& c,
-                                 const std::string& member,
-                                 std::uint64_t nonce,
+                                 const std::string& member, std::uint64_t nonce,
                                  std::uint32_t value_pad) {
   gc::McastWriter out(group, 1 + ckpt_body_hint(c, member, value_pad));
   CdrWriter& w = out.payload();

@@ -312,13 +312,12 @@ Bytes encode_ckpt_delta(const CkptDelta& m);
 /// The same frame straight from a stored checkpoint (no entry copy).
 Bytes encode_ckpt_delta(const state::Checkpoint& c, const std::string& member,
                         std::uint64_t nonce, std::uint32_t value_pad);
-/// The kMcast frame to `group` carrying that checkpoint frame, encoded in
-/// place behind the GC header: the bytes of encode_mcast over
-/// encode_ckpt_delta, with one payload copy fewer.
+/// That frame inside its kMcast frame to `group`, encoded in place: the
+/// bytes of encode_mcast over encode_ckpt_delta, one payload copy fewer.
 gc::McastFrame encode_ckpt_mcast(std::string_view group,
                                  const state::Checkpoint& c,
-                                 const std::string& member,
-                                 std::uint64_t nonce, std::uint32_t value_pad);
+                                 const std::string& member, std::uint64_t nonce,
+                                 std::uint32_t value_pad);
 Bytes encode_ckpt_request(const CkptRequest& m);
 Bytes encode_log_replay(const LogReplay& m);
 Bytes encode_alive_epoch(const AliveEpoch& m);

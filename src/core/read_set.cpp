@@ -32,7 +32,6 @@ sim::Task<void> ReadSetSubscriber::pump() {
     if (!ctrl || !ctrl->read_set) continue;
     if (ctrl->read_set->version <= last_version_) continue;  // stale
     last_version_ = ctrl->read_set->version;
-    ++applied_;
     if (cb_) cb_(*ctrl->read_set);
   }
 }

@@ -37,7 +37,6 @@ class ReadSetSubscriber {
   [[nodiscard]] sim::Task<bool> start();
 
   [[nodiscard]] std::uint64_t last_version() const { return last_version_; }
-  [[nodiscard]] std::uint64_t updates_applied() const { return applied_; }
 
  private:
   sim::Task<void> pump();
@@ -47,7 +46,6 @@ class ReadSetSubscriber {
   Callback cb_;
   std::unique_ptr<gc::GcClient> gc_;
   std::uint64_t last_version_ = 0;
-  std::uint64_t applied_ = 0;
 };
 
 }  // namespace mead::core

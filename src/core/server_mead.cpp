@@ -100,13 +100,12 @@ sim::Task<void> ServerMead::gc_pump() {
       // "the first replica listed ... sends a message that synchronizes the
       // listing of active servers across the group" (§4.3).
       if (registry_.is_first(cfg_.member)) {
-        proc_->sim().spawn(send_listing());
+        proc_->sim().schedule(Duration{0}, [this] { send_listing(); });
         // Membership has settled and we are the agreed-upon primary:
         // answer queries that raced the membership change (§5.2.1).
         for (auto& q : pending_queries_) {
           if (proc_->sim().now() < q.expires) {
-            proc_->sim().spawn(
-                answer_primary_query(std::move(q.reply_group), q.nonce));
+            answer_primary_query(std::move(q.reply_group), q.nonce);
           }
         }
         pending_queries_.clear();
@@ -140,8 +139,7 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
       // whichever replica the next view promotes will answer it — if that
       // happens within the client's timeout window.
       if (registry_.is_first(cfg_.member)) {
-        proc_->sim().spawn(answer_primary_query(ctrl->query->reply_group,
-                                                ctrl->query->nonce));
+        answer_primary_query(ctrl->query->reply_group, ctrl->query->nonce);
       } else {
         pending_queries_.emplace_back(ctrl->query->reply_group,
                                       ctrl->query->nonce,
@@ -186,8 +184,9 @@ void ServerMead::handle_ctrl(const gc::Event& ev) {
       // Only the announced primary answers: a restoring replica is not
       // yet announced, so never first.
       if (registry_.is_first(cfg_.member)) {
-        proc_->sim().spawn(answer_restore(ctrl->ckpt_request->member,
-                                          ctrl->ckpt_request->nonce));
+        proc_->sim().schedule(Duration{0}, [this, r = *ctrl->ckpt_request] {
+          answer_restore(r.member, r.nonce);
+        });
       }
       break;
     }
@@ -256,7 +255,7 @@ void ServerMead::handle_handoff(const Handoff& h) {
   if (app_state_ && !restoring_ && registry_.is_first(cfg_.member)) {
     // Transfer the log tail: a final checkpoint (with the reply cache
     // riding along) lands before the successor takes over as primary.
-    push_checkpoint_soon();
+    proc_->sim().schedule(Duration{0}, [this] { push_checkpoint(); });
   }
   proc_->sim().spawn(rejuvenate_after_drain());
 }
@@ -315,15 +314,15 @@ Bytes ServerMead::reply_cache_wire(std::uint64_t nonce) const {
   return encode_reply_cache(rc);
 }
 
-sim::Task<void> ServerMead::answer_primary_query(std::string reply_group,
-                                                 std::uint64_t nonce) {
+void ServerMead::answer_primary_query(std::string reply_group,
+                                      std::uint64_t nonce) {
   ++stats_.primary_answers;
-  (void)co_await gc_->multicast(
+  gc_->post_soon(
       std::move(reply_group),
       encode_primary_answer(PrimaryAnswer{cfg_.member, orb_endpoint_, nonce}));
 }
 
-sim::Task<void> ServerMead::send_listing() {
+void ServerMead::send_listing() {
   Listing listing;
   for (auto& rec : registry_.listed()) {
     listing.entries.push_back(Announce{rec.member, rec.endpoint, rec.ior});
@@ -332,9 +331,8 @@ sim::Task<void> ServerMead::send_listing() {
   if (self_ior_.valid() && !registry_.find(cfg_.member)) {
     listing.entries.push_back(Announce{cfg_.member, orb_endpoint_, self_ior_});
   }
-  if (listing.entries.empty()) co_return;
-  (void)co_await gc_->multicast(replica_group(cfg_.service),
-                                encode_listing(listing));
+  if (listing.entries.empty()) return;
+  (void)gc_->post(replica_group(cfg_.service), encode_listing(listing));
 }
 
 sim::Task<void> ServerMead::state_sync_loop() {
@@ -399,10 +397,6 @@ void ServerMead::push_checkpoint() {
   }
 }
 
-void ServerMead::push_checkpoint_soon() {
-  proc_->sim().schedule(Duration{0}, [this] { push_checkpoint(); });
-}
-
 sim::Task<void> ServerMead::restore_watchdog() {
   bool alive = co_await proc_->sleep(cfg_.state.restore_grace);
   if (!alive || !restoring_) co_return;
@@ -457,13 +451,12 @@ sim::Task<void> ServerMead::finish_replay(std::int64_t replayed) {
                  static_cast<double>(app_state_->applied()));
 }
 
-sim::Task<void> ServerMead::answer_restore(std::string requester,
-                                           std::uint64_t nonce) {
-  if (app_state_ == nullptr) co_return;
+void ServerMead::answer_restore(const std::string& requester,
+                                std::uint64_t nonce) {
+  if (app_state_ == nullptr) return;
   LogLine(proc_->sim().log(), LogLevel::kDebug, "mead")
       << cfg_.member << " answering restore for " << requester;
   if (!ckpt_store_->has_base()) push_checkpoint();
-  // Posting never suspends, so the store cannot rebase under this walk.
   const std::string group = ckpt_group(cfg_.service);
   for (const auto& c : ckpt_store_->chain()) {
     gc::McastFrame frame = encode_ckpt_mcast(group, c, cfg_.member, nonce,
@@ -472,8 +465,7 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
     (void)gc_->post_frame(std::move(frame.wire));
   }
   if (cfg_.state.dedup_cap > 0 && !dedup_fifo_.empty()) {
-    (void)co_await gc_->multicast(ckpt_group(cfg_.service),
-                                  reply_cache_wire(nonce));
+    (void)gc_->post(group, reply_cache_wire(nonce));
   }
   LogReplay lr;
   lr.member = cfg_.member;
@@ -481,19 +473,19 @@ sim::Task<void> ServerMead::answer_restore(std::string requester,
   lr.applied = app_state_->applied();
   lr.digest = app_state_->digest();
   lr.entries = msg_log_->entries();
-  (void)co_await gc_->multicast(ckpt_group(cfg_.service),
-                                encode_log_replay(lr));
+  (void)gc_->post(group, encode_log_replay(lr));
 }
 
-sim::Task<void> ServerMead::request_resync() {
+void ServerMead::request_resync_soon() {
   // A live mirror fell off the delta chain (dropped frame under a
   // partition, or joined after the base): ask for a directed re-send.
-  if (await_nonce_ != 0 || restoring_) co_return;
-  await_nonce_ = make_nonce();
-  (void)co_await gc_->multicast(
-      ckpt_group(cfg_.service),
-      encode_ckpt_request(CkptRequest{cfg_.member, await_nonce_,
-                                      ckpt_store_->last_epoch()}));
+  proc_->sim().schedule(Duration{0}, [this] {
+    if (await_nonce_ != 0 || restoring_) return;
+    await_nonce_ = make_nonce();
+    (void)gc_->post(ckpt_group(cfg_.service),
+                    encode_ckpt_request(CkptRequest{
+                        cfg_.member, await_nonce_, ckpt_store_->last_epoch()}));
+  });
 }
 
 bool ServerMead::wants_ckpt(ByteView payload) const {
@@ -536,13 +528,13 @@ void ServerMead::handle_ckpt_delta(CkptDelta&& d) {
     case state::CheckpointStore::Apply::kStale:
       break;
     case state::CheckpointStore::Apply::kGap:
-      if (d.nonce == 0) proc_->sim().spawn(request_resync());
+      if (d.nonce == 0) request_resync_soon();
       break;
     case state::CheckpointStore::Apply::kDigestMismatch:
       // Cross-verification failed: our mirror diverged — resync from the
       // authoritative chain.
       digest_mismatches_->add();
-      if (d.nonce == 0) proc_->sim().spawn(request_resync());
+      if (d.nonce == 0) request_resync_soon();
       break;
   }
 }
@@ -581,7 +573,8 @@ void ServerMead::check_thresholds() {
     launch_requests_.add();
     obs.emit(obs::EventKind::kThresholdCrossed, cfg_.member, "T1", used);
     obs.emit(obs::EventKind::kLaunchRequested, cfg_.member, "", used);
-    proc_->sim().spawn(send_launch_request(used));
+    gc_->post_soon(control_group(cfg_.service),
+                   encode_launch_request(LaunchRequest{cfg_.member, used}));
   }
   if (!migrating_ && trigger_migrate) {
     migrate_target_ = registry_.next_after(cfg_.member);
@@ -597,12 +590,6 @@ void ServerMead::check_thresholds() {
     // reply — rejuvenating now would cause an outage instead of avoiding
     // one.
   }
-}
-
-sim::Task<void> ServerMead::send_launch_request(double usage_now) {
-  (void)co_await gc_->multicast(
-      control_group(cfg_.service),
-      encode_launch_request(LaunchRequest{cfg_.member, usage_now}));
 }
 
 sim::Task<void> ServerMead::rejuvenate_after_drain() {
@@ -784,7 +771,7 @@ sim::Task<net::Result<std::size_t>> ServerMead::writev(int fd, Bytes data) {
       // Every served reply mutates the keyed accumulator; the log covers
       // the suffix since the last checkpoint and bounds it via log_cap.
       msg_log_->append(app_state_->apply_next());
-      if (msg_log_->full()) push_checkpoint_soon();
+      if (msg_log_->full()) proc_->sim().schedule(Duration{0}, [this] { push_checkpoint(); });
     }
   }
   ++stats_.replies_passed;

@@ -141,8 +141,7 @@ class ServerMead final : public net::SocketApi {
 
   /// The §3.2 two-threshold check, run on the reply path.
   void check_thresholds();
-  /// Spawned helpers (fire-and-forget multicasts / timers).
-  sim::Task<void> send_launch_request(double usage_now);
+  /// Spawned helpers (timers and event loops).
   sim::Task<void> rejuvenate_after_drain();
   sim::Task<void> gc_pump();
   sim::Task<void> state_sync_loop();
@@ -159,16 +158,12 @@ class ServerMead final : public net::SocketApi {
   [[nodiscard]] Bytes reply_cache_wire(std::uint64_t nonce) const;
   // ---- stateful-service recovery pipeline ----
   sim::Task<void> checkpoint_loop();
-  /// Takes a checkpoint and multicasts it (with the reply cache); never
-  /// suspends.
   void push_checkpoint();
-  /// push_checkpoint() as a zero-delay event, for callers mid-event.
-  void push_checkpoint_soon();
   sim::Task<void> restore_watchdog();
   /// Answers a directed restore (announced primary only): the checkpoint
   /// chain, then the closing LogReplay.
-  sim::Task<void> answer_restore(std::string requester, std::uint64_t nonce);
-  sim::Task<void> request_resync();
+  void answer_restore(const std::string& requester, std::uint64_t nonce);
+  void request_resync_soon();
   sim::Task<void> finish_replay(std::int64_t replayed);
   void finish_restore(bool restored, double ops);
   /// Whether a kCkptDelta payload is one this replica applies: handle_ctrl
@@ -177,9 +172,8 @@ class ServerMead final : public net::SocketApi {
   void handle_ckpt_delta(CkptDelta&& d);
   [[nodiscard]] std::uint64_t make_nonce();
   void handle_ctrl(const gc::Event& ev);
-  sim::Task<void> answer_primary_query(std::string reply_group,
-                                       std::uint64_t nonce);
-  sim::Task<void> send_listing();
+  void answer_primary_query(std::string reply_group, std::uint64_t nonce);
+  void send_listing();
 
   net::ProcessPtr proc_;
   MeadConfig cfg_;

@@ -154,7 +154,6 @@ void ChaosController::fire(const FaultEvent& ev) {
     obs.metrics().counter("chaos.skipped").add();
     return;
   }
-  ++injected_;
   obs.metrics().counter("chaos.faults").add();
   obs.metrics().counter("chaos." + std::string(to_string(ev.kind))).add();
   std::string detail = std::string(to_string(ev.kind)) + ":" + ev.target;

@@ -104,7 +104,6 @@ class ChaosController {
   /// Faults executed so far (also counter "chaos.faults"). Faults whose
   /// hook declined — e.g. no live replica left to crash — count under
   /// "chaos.skipped" instead.
-  [[nodiscard]] std::uint64_t faults_injected() const { return injected_; }
 
  private:
   void fire(const FaultEvent& ev);
@@ -114,7 +113,6 @@ class ChaosController {
   ServiceHook crash_process_;
   BurstHook leak_burst_;
   NodeHook join_node_;
-  std::uint64_t injected_ = 0;
   bool armed_ = false;
 };
 

@@ -21,20 +21,15 @@ sim::Task<bool> GcClient::connect() {
   auto fd = co_await proc_.api().connect(daemon_);
   if (!fd) co_return false;
   fd_ = fd.value();
-  auto w = co_await proc_.api().writev(fd_, encode_hello(HelloMsg{name_}));
-  co_return w.ok();
+  co_return post_frame(encode_hello(HelloMsg{name_}));
 }
 
 sim::Task<bool> GcClient::join(std::string group) {
-  if (fd_ < 0) co_return false;
-  auto w = co_await proc_.api().writev(fd_, encode_join(GroupMsg{std::move(group)}));
-  co_return w.ok();
+  co_return post_frame(encode_join(GroupMsg{std::move(group)}));
 }
 
 sim::Task<bool> GcClient::leave(std::string group) {
-  if (fd_ < 0) co_return false;
-  auto w = co_await proc_.api().writev(fd_, encode_leave(GroupMsg{std::move(group)}));
-  co_return w.ok();
+  co_return post_frame(encode_leave(GroupMsg{std::move(group)}));
 }
 
 sim::Task<bool> GcClient::multicast(std::string group, Bytes payload) {
@@ -42,7 +37,6 @@ sim::Task<bool> GcClient::multicast(std::string group, Bytes payload) {
 }
 
 bool GcClient::post(std::string group, Bytes payload) {
-  if (fd_ < 0) return false;
   return post_frame(encode_mcast(McastMsg{std::move(group), std::move(payload)}));
 }
 

@@ -37,13 +37,11 @@ class GcClient {
   [[nodiscard]] sim::Task<bool> leave(std::string group);
   [[nodiscard]] sim::Task<bool> multicast(std::string group, Bytes payload);
 
-  /// multicast()'s whole body: the write never suspends, so a caller that
-  /// needs no coroutine makes it directly.
+  /// multicast()'s whole body, which never suspends.
   bool post(std::string group, Bytes payload);
-  /// Writes `frame`, a finished kMcast frame (McastWriter), now.
+  /// Writes `frame`, a finished client frame (a McastWriter's), now.
   bool post_frame(Bytes frame);
-  /// post() as a zero-delay event of its own: for a caller inside an event
-  /// handler whose write must queue behind the events already scheduled.
+  /// post() from a zero-delay event of its own, for callers mid-event.
   void post_soon(std::string group, Bytes payload);
 
   /// Point-to-point over multicast: sends to the member's reply group.

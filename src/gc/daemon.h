@@ -259,8 +259,7 @@ class GcDaemon {
   /// connected, encoding only if one exists; the writes share one buffer.
   template <typename Encode>
   void write_to_local(const GroupSlot& g, Encode encode);
-  /// Writes `data` to `fd` as one zero-delay event (the write never
-  /// suspends, so it needs no coroutine).
+  /// Writes `data` to `fd` from one zero-delay event (no coroutine).
   void post_write(int fd, Bytes data);
   /// Mesh write of `f`: on the legacy plane a buffer sharing f's block, on
   /// the scaled plane a copy coalesced into the fd's pending FrameBatch.
@@ -273,8 +272,7 @@ class GcDaemon {
   /// all on `wire`'s one buffer.
   void direct_broadcast(Bytes wire, int skip_fd = -1);
   void flush_batch(int fd);
-  /// Flushes the fd's batch kBatchFlush from now unless a flush moved its
-  /// epoch past `epoch` first.
+  /// Flushes fd's batch kBatchFlush from now unless its epoch moved on.
   void arm_batch_flush(int fd, std::uint64_t epoch);
   [[nodiscard]] std::uint64_t sequencer_id() const;
   /// The daemon that stamps `group`: the global sequencer on the legacy

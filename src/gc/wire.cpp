@@ -23,11 +23,7 @@ CdrWriter frame_writer(Op op, std::size_t body_hint = 32) {
 }
 
 void put_le32(std::uint8_t* p, std::size_t n) {
-  const auto v = static_cast<std::uint32_t>(n);
-  p[0] = static_cast<std::uint8_t>(v & 0xFF);
-  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
-  p[2] = static_cast<std::uint8_t>((v >> 16) & 0xFF);
-  p[3] = static_cast<std::uint8_t>((v >> 24) & 0xFF);
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(n >> (8 * i));
 }
 
 /// Takes the frame out of `w` and fills in its little-endian length.

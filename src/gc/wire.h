@@ -244,16 +244,14 @@ struct McastFrame {
   std::size_t payload_size = 0;
 };
 
-/// Encodes a kMcast frame with its payload written in place behind the
-/// header, so a bulky payload (a checkpoint) is written once rather than
-/// encoded on its own and copied into encode_mcast's frame. The result is
-/// byte-identical to encode_mcast(McastMsg{group, payload}).
+/// Encodes a kMcast frame with its payload written in place, so a bulky
+/// payload (a checkpoint) is not encoded alone and then copied in. The
+/// frame is byte-identical to encode_mcast(McastMsg{group, payload}).
 class McastWriter {
  public:
   /// `payload_hint` sizes the buffer up front.
   McastWriter(std::string_view group, std::size_t payload_hint);
-  /// The payload's writer: its CDR stream starts at the payload's first
-  /// byte.
+  /// The payload's writer; its CDR stream starts at the payload.
   [[nodiscard]] giop::CdrWriter& payload() { return w_; }
   /// Fills in the payload and frame lengths and takes the frame.
   [[nodiscard]] McastFrame finish();

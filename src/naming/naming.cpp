@@ -89,11 +89,6 @@ sim::Task<orb::DispatchResult> NamingServant::dispatch(std::string operation,
       giop::SysExKind::kNoImplement, 0, giop::CompletionStatus::kNo});
 }
 
-std::size_t NamingServant::binding_count(const std::string& name) const {
-  auto it = bindings_.find(name);
-  return it == bindings_.end() ? 0 : it->second.size();
-}
-
 giop::IOR naming_ior(const std::string& host, std::uint16_t port) {
   return giop::IOR{"IDL:omg.org/CosNaming/NamingContext:1.0",
                    net::Endpoint{host, port},

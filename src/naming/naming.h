@@ -39,8 +39,6 @@ class NamingServant final : public orb::Servant {
     return "IDL:omg.org/CosNaming/NamingContext:1.0";
   }
 
-  [[nodiscard]] std::size_t binding_count(const std::string& name) const;
-
  private:
   orb::Orb& orb_;
   Duration lookup_cost_;

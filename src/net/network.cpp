@@ -28,8 +28,7 @@ void WaitSet::wake_all(sim::Simulator& sim) {
   for (auto& [w, epoch] : waiters_) {
     if (w->done || w->epoch != epoch) continue;
     w->done = true;
-    // The suspended frame holds its waiter until it resumes, so the wake
-    // needs only the handle.
+    // The suspended frame holds its waiter; the wake needs only the handle.
     sim.schedule(Duration{0}, [h = w->handle] { h.resume(); });
   }
   waiters_.clear();

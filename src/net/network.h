@@ -361,8 +361,7 @@ class ProcessSocketApi final : public SocketApi {
       int fd, std::size_t max_bytes,
       std::optional<Duration> timeout = std::nullopt) override;
   sim::Task<Result<std::size_t>> writev(int fd, Bytes data) override;
-  /// writev's whole body, which never suspends: schedules the delivery of
-  /// `data` and returns its size, or the error writev would yield.
+  /// writev's whole body, which never suspends.
   Result<std::size_t> send(int fd, Bytes data);
   sim::Task<Result<std::vector<int>>> select(
       std::vector<int> fds,

@@ -10,10 +10,6 @@ giop::IOR ObjectAdapter::register_servant(const std::string& path,
   return ior;
 }
 
-bool ObjectAdapter::deactivate(const giop::ObjectKey& key) {
-  return servants_.erase(key) > 0;
-}
-
 Servant* ObjectAdapter::find(const giop::ObjectKey& key) const {
   auto it = servants_.find(key);
   return it == servants_.end() ? nullptr : it->second.get();

@@ -25,16 +25,9 @@ class ObjectAdapter {
   giop::IOR register_servant(const std::string& path,
                              std::shared_ptr<Servant> servant);
 
-  /// Removes the object. Returns true if it existed.
-  bool deactivate(const giop::ObjectKey& key);
-
   [[nodiscard]] Servant* find(const giop::ObjectKey& key) const;
   [[nodiscard]] std::size_t object_count() const { return servants_.size(); }
   [[nodiscard]] const net::Endpoint& endpoint() const { return endpoint_; }
-
-  /// Re-homes minted IORs (used when the listen port is auto-assigned after
-  /// adapter construction).
-  void set_endpoint(net::Endpoint ep) { endpoint_ = std::move(ep); }
 
  private:
   net::Endpoint endpoint_;

@@ -78,11 +78,6 @@ class Router {
   [[nodiscard]] RoutingPolicy policy() const { return policy_; }
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] const std::string& primary() const { return primary_; }
-  [[nodiscard]] std::size_t read_set_size() const { return read_set_.size(); }
-  [[nodiscard]] std::size_t failed_count() const { return failed_.size(); }
-  [[nodiscard]] std::size_t catching_up_count() const {
-    return catching_up_.size();
-  }
   /// Member the last route() call handed out ("" if it fell back).
   [[nodiscard]] const std::string& last_routed() const { return last_routed_; }
 

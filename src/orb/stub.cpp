@@ -49,7 +49,6 @@ void Stub::switch_to(const giop::IOR& ior) {
     fd_ = it->second.fd;
     frames_ = std::move(it->second.frames);
     pool_.erase(it);
-    ++pool_hits_;
   }
   ++route_switches_;
   orb_.sim().obs().emit(obs::EventKind::kRouteSwitch, orb_.process().name(),

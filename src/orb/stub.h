@@ -56,7 +56,6 @@ class Stub {
   [[nodiscard]] Router* router() const { return router_; }
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
-  [[nodiscard]] int connection_fd() const { return fd_; }
 
   /// Number of LOCATION_FORWARDs followed over this stub's lifetime.
   [[nodiscard]] std::uint64_t forwards_followed() const { return forwards_; }
@@ -64,8 +63,6 @@ class Stub {
   [[nodiscard]] std::uint64_t readdress_retries() const { return readdress_; }
   /// Number of router-driven endpoint switches.
   [[nodiscard]] std::uint64_t route_switches() const { return route_switches_; }
-  /// Router switches that reused a pooled connection (no setup charge).
-  [[nodiscard]] std::uint64_t pool_hits() const { return pool_hits_; }
 
  private:
   [[nodiscard]] sim::Task<Expected<int, net::NetErr>> ensure_connected();
@@ -96,7 +93,6 @@ class Stub {
   std::uint64_t forwards_ = 0;
   std::uint64_t readdress_ = 0;
   std::uint64_t route_switches_ = 0;
-  std::uint64_t pool_hits_ = 0;
 };
 
 }  // namespace mead::orb
